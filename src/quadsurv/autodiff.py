@@ -118,7 +118,14 @@ def linear(w: Tensor, h: Tensor) -> Tensor:
 
 
 def _gelu(x):
-    return 0.5 * x * (1.0 + erf(x / _SQRT2))
+    # 0.5 * x * (1 + erf(x / sqrt 2)) with two temporaries instead of four;
+    # the operations and their order are unchanged, so values are too
+    cdf = x / _SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    out = 0.5 * x
+    out *= cdf
+    return out
 
 
 def _gelu_grad(x, y):
@@ -138,14 +145,6 @@ _ELEMENTWISE = {
 }
 
 ELEMENTWISE_KINDS = tuple(_ELEMENTWISE)
-
-
-def activation_fn(kind: str):
-    """Forward function of an elementwise kind, for tape-free evaluation."""
-    try:
-        return _ELEMENTWISE[kind][0]
-    except KeyError:
-        raise ContractError(f"unknown elementwise kind {kind!r}") from None
 
 
 def elementwise(kind: str, x: Tensor) -> Tensor:

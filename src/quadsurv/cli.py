@@ -258,10 +258,7 @@ def cmd_sweep_nodes(args) -> int:
     if args.epochs is not None:
         base["max_epochs"] = args.epochs
 
-    cells = [(seed, k) for seed in seeds for k in k_list]
-
-    def run_cell(cell):
-        seed, k = cell
+    def run_cell(seed, k):
         sim = generate(GeneratorSpec(family=args.family), seed)
         cfg = TrainingConfig(seed=seed, k_nodes=k, **base)
         try:
@@ -275,12 +272,7 @@ def cmd_sweep_nodes(args) -> int:
         except QuadSurvError as err:
             return (args.family, k, seed, "", "", "", "", str(err))
 
-    if args.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(run_cell, cells))
-    else:
-        rows = [run_cell(c) for c in cells]
+    rows = [run_cell(seed, k) for seed in seeds for k in k_list]
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -302,8 +294,7 @@ def cmd_hpo(args) -> int:
     data = load_csv(args.train_csv)
     base = TrainingConfig(seed=args.seed, max_epochs=args.epochs)
     best_rec, best_res, records = random_search(
-        space, args.trials, data, base_config=base,
-        executor_threads=args.threads)
+        space, args.trials, data, base_config=base)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_checkpoint(out / "checkpoint.json", best_res, data.columns)
@@ -383,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-list", default="1,2,3,5,7,10")
     p.add_argument("--seeds", default="0,1,2,3,4")
     p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_sweep_nodes)
 
@@ -393,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=30)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_hpo)
 

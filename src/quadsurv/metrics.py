@@ -9,10 +9,10 @@ weighting itself through its own censoring mass.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaincc
 
 from .errors import ContractError, HorizonError, UndefinedMetricError
 
@@ -251,73 +251,6 @@ def integrated_binomial_ll(curves, times, events, ghat, horizon,
     return float(np.trapezoid(vals, grid) / (grid[-1] - grid[0]))
 
 
-# --- regularized incomplete gamma (for the chi-square p-value) -------------------
-
-_GAMMA_EPS = 1e-14
-_GAMMA_ITMAX = 500
-
-
-def _gamma_series(a, x):
-    ap = a
-    total = 1.0 / a
-    delta = total
-    for _ in range(_GAMMA_ITMAX):
-        ap += 1.0
-        delta *= x / ap
-        total += delta
-        if abs(delta) < abs(total) * _GAMMA_EPS:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-def _gamma_cf(a, x):
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _GAMMA_ITMAX + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _GAMMA_EPS:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def regularized_gamma_p(a: float, x: float) -> float:
-    """P(a, x), the regularized lower incomplete gamma function."""
-    if a <= 0 or x < 0:
-        raise ContractError(f"gamma arguments out of domain: a={a}, x={x}")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _gamma_series(a, x)
-    return 1.0 - _gamma_cf(a, x)
-
-
-def regularized_gamma_q(a: float, x: float) -> float:
-    """Q(a, x) = 1 - P(a, x), the upper tail."""
-    if a <= 0 or x < 0:
-        raise ContractError(f"gamma arguments out of domain: a={a}, x={x}")
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _gamma_series(a, x)
-    return _gamma_cf(a, x)
-
-
-def chi_square_sf(stat: float, dof: int) -> float:
-    return regularized_gamma_q(dof / 2.0, stat / 2.0)
-
-
 # --- D-calibration ---------------------------------------------------------------
 
 @dataclass
@@ -355,7 +288,8 @@ def d_calibration(s_at_obs, events, bins: int = 10) -> DCalResult:
 
     expected = n / bins
     stat = float(np.sum((mass - expected) ** 2) / expected)
-    p = chi_square_sf(stat, bins - 1)
+    # chi-square survival function with bins - 1 degrees of freedom
+    p = gammaincc((bins - 1) / 2.0, stat / 2.0)
     return DCalResult(statistic=stat, p_value=float(p), bin_mass=mass)
 
 

@@ -13,8 +13,11 @@ of three heads:
                   subject, so extra time points cost only the small
                   modulation branch.
 
-Both a recorded (differentiable) forward and a plain numpy evaluation
-forward are provided; they perform the same operations in the same order.
+Each head's per-subject math is written once, in ``HazardModel._forward``
+over autodiff ops.  Training runs it on the parameters, which records the
+graph; evaluation runs it on constant views of the same arrays, which
+records nothing.  ``_eval_shared_times`` is the factorised path for a time
+grid shared by every subject, used for dense curves.
 """
 
 from __future__ import annotations
@@ -151,34 +154,48 @@ class HazardModel:
     def trainable(self) -> dict[str, ad.Tensor]:
         return self.params
 
-    # --- recorded (differentiable) forward ------------------------------
+    # --- forward ----------------------------------------------------------
 
-    def _backbone_recorded(self, inp, training, rng):
+    def _constants(self) -> dict[str, ad.Tensor]:
+        """Constant views of the parameters (no copy); a forward over them
+        records no graph."""
+        return {name: ad.tensor(p.values) for name, p in self.params.items()}
+
+    def _backbone(self, p, h, training, rng):
         cfg = self.config
-        h = inp
         for i in range(len(cfg.hidden)):
-            h = ad.affine(self.params[f"backbone.{i}.W"],
-                          self.params[f"backbone.{i}.b"], h)
+            h = ad.affine(p[f"backbone.{i}.W"], p[f"backbone.{i}.b"], h)
             if cfg.batchnorm:
-                h = ad.batch_norm(h, self.params[f"backbone.{i}.bn.gamma"],
-                                  self.params[f"backbone.{i}.bn.beta"],
+                h = ad.batch_norm(h, p[f"backbone.{i}.bn.gamma"],
+                                  p[f"backbone.{i}.bn.beta"],
                                   self.bn_states[i], training)
             h = ad.elementwise(cfg.activation, h)
             if cfg.dropout > 0.0:
                 h = ad.dropout(h, cfg.dropout, rng, training)
         return h
 
-    def _time_embed_recorded(self, t_col):
-        lin = ad.affine(self.params["phi.w0"], self.params["phi.b0"], t_col)
-        osc = ad.elementwise(
-            "sin", ad.affine(self.params["phi.wf"], self.params["phi.bf"], t_col))
-        return ad.concat_cols([lin, osc])
+    def _modulation(self, p, t_col):
+        """Time-only branch, one row per time: FiLM's (gamma, beta), or the
+        low-rank gates s."""
+        cfg = self.config
+        lin = ad.affine(p["phi.w0"], p["phi.b0"], t_col)
+        osc = ad.elementwise("sin", ad.affine(p["phi.wf"], p["phi.bf"], t_col))
+        emb = ad.concat_cols([lin, osc])
+        if cfg.conditioning == "film":
+            g_hidden = ad.elementwise(
+                cfg.activation, ad.affine(p["film.h.W"], p["film.h.b"], emb))
+            return (ad.affine(p["film.gamma.W"], p["film.gamma.b"], g_hidden),
+                    ad.affine(p["film.beta.W"], p["film.beta.b"], g_hidden))
+        s_hidden = ad.elementwise(
+            cfg.activation, ad.affine(p["mod.h.W"], p["mod.h.b"], emb))
+        return ad.affine(p["mod.out.W"], p["mod.out.b"], s_hidden)
 
-    def forward_times_recorded(self, x, times, training=False, rng=None):
+    def _forward(self, p, x, times, training=False, rng=None) -> ad.Tensor:
         """Log-hazard tensor of shape (batch, n_times) for per-subject times.
 
         ``x`` is (batch, d) and ``times`` (batch, n_times); entry (i, j) is
-        f(x_i, times[i, j]).
+        f(x_i, times[i, j]).  ``p`` maps parameter names to tensors:
+        ``self.params`` records the graph, ``self._constants()`` does not.
         """
         cfg = self.config
         x = np.asarray(x, dtype=np.float64)
@@ -195,101 +212,32 @@ class HazardModel:
         if cfg.conditioning == "concat":
             inp = ad.tensor(np.hstack([np.repeat(x, r, axis=0),
                                        t_flat / cfg.time_scale]))
-            h = self._backbone_recorded(inp, training, rng)
-            f = ad.affine(self.params["head.W"], self.params["head.b"], h)
-            return ad.reshape(f, (b, r))
-
-        h = self._backbone_recorded(ad.tensor(x), training, rng)
-        h_rep = ad.tile_rows(h, r)
-        emb = self._time_embed_recorded(ad.tensor(t_flat))
-
-        if cfg.conditioning == "film":
-            g_hidden = ad.elementwise(
-                cfg.activation,
-                ad.affine(self.params["film.h.W"], self.params["film.h.b"], emb))
-            gamma = ad.affine(self.params["film.gamma.W"],
-                              self.params["film.gamma.b"], g_hidden)
-            beta = ad.affine(self.params["film.beta.W"],
-                             self.params["film.beta.b"], g_hidden)
-            modulated = ad.add(ad.mul(gamma, h_rep), beta)
-            f = ad.affine(self.params["head.W"], self.params["head.b"], modulated)
-            return ad.reshape(f, (b, r))
-
-        # lora: base products cached once per subject, reused at every time
-        wh = ad.affine(self.params["lora.W"], self.params["lora.b"], h)
-        vh = ad.linear(self.params["lora.V"], h)
-        wh_rep = ad.tile_rows(wh, r)
-        vh_rep = ad.tile_rows(vh, r)
-        s_hidden = ad.elementwise(
-            cfg.activation,
-            ad.affine(self.params["mod.h.W"], self.params["mod.h.b"], emb))
-        s = ad.affine(self.params["mod.out.W"], self.params["mod.out.b"], s_hidden)
-        z = ad.add(wh_rep, ad.linear(self.params["lora.U"], ad.mul(s, vh_rep)))
-        f = ad.affine(self.params["head.W"], self.params["head.b"], z)
+            z = self._backbone(p, inp, training, rng)
+        elif cfg.conditioning == "film":
+            h = self._backbone(p, ad.tensor(x), training, rng)
+            gamma, beta = self._modulation(p, ad.tensor(t_flat))
+            z = ad.add(ad.mul(gamma, ad.tile_rows(h, r)), beta)
+        else:
+            # lora: base products once per subject, reused at every time
+            h = self._backbone(p, ad.tensor(x), training, rng)
+            wh = ad.affine(p["lora.W"], p["lora.b"], h)
+            vh = ad.linear(p["lora.V"], h)
+            s = self._modulation(p, ad.tensor(t_flat))
+            z = ad.add(ad.tile_rows(wh, r),
+                       ad.linear(p["lora.U"], ad.mul(s, ad.tile_rows(vh, r))))
+        f = ad.affine(p["head.W"], p["head.b"], z)
         return ad.reshape(f, (b, r))
 
-    # --- plain numpy evaluation forward ---------------------------------
+    def forward_times_recorded(self, x, times, training=False, rng=None):
+        """Recorded (differentiable) log-hazards; see ``_forward``."""
+        return self._forward(self.params, x, times, training, rng)
+
+    def log_hazard_matrix(self, x, times):
+        """Evaluation-mode f(x_i, times[i, j]) as an array of shape times.shape."""
+        return self._forward(self._constants(), x, times).values
 
     def _eval_backbone(self, x):
-        cfg = self.config
-        h = x
-        for i in range(len(cfg.hidden)):
-            h = h @ self.params[f"backbone.{i}.W"].values.T \
-                + self.params[f"backbone.{i}.b"].values
-            if cfg.batchnorm:
-                st = self.bn_states[i]
-                h = (h - st.running_mean) / np.sqrt(st.running_var + st.eps)
-                h = self.params[f"backbone.{i}.bn.gamma"].values * h \
-                    + self.params[f"backbone.{i}.bn.beta"].values
-            h = ad.activation_fn(cfg.activation)(h)
-        return h
-
-    def _eval_time_embed(self, t_flat):
-        lin = t_flat @ self.params["phi.w0"].values.T + self.params["phi.b0"].values
-        osc = np.sin(t_flat @ self.params["phi.wf"].values.T
-                     + self.params["phi.bf"].values)
-        return np.concatenate([lin, osc], axis=1)
-
-    def _eval_head_at_times(self, h, x, times):
-        """Evaluation-mode log-hazards; h is the cached backbone output
-        (ignored under concat conditioning)."""
-        cfg = self.config
-        b, r = times.shape
-        act = ad.activation_fn(cfg.activation)
-        t_flat = times.reshape(-1, 1)
-
-        if cfg.conditioning == "concat":
-            inp = np.hstack([np.repeat(x, r, axis=0), t_flat / cfg.time_scale])
-            hh = self._eval_backbone(inp)
-            f = hh @ self.params["head.W"].values.T + self.params["head.b"].values
-            return f.reshape(b, r)
-
-        h_rep = np.repeat(h, r, axis=0)
-        emb = self._eval_time_embed(t_flat)
-
-        if cfg.conditioning == "film":
-            g_hidden = act(emb @ self.params["film.h.W"].values.T
-                           + self.params["film.h.b"].values)
-            gamma = g_hidden @ self.params["film.gamma.W"].values.T \
-                + self.params["film.gamma.b"].values
-            beta = g_hidden @ self.params["film.beta.W"].values.T \
-                + self.params["film.beta.b"].values
-            modulated = gamma * h_rep + beta
-            f = modulated @ self.params["head.W"].values.T \
-                + self.params["head.b"].values
-            return f.reshape(b, r)
-
-        wh = h @ self.params["lora.W"].values.T + self.params["lora.b"].values
-        vh = h @ self.params["lora.V"].values.T
-        wh_rep = np.repeat(wh, r, axis=0)
-        vh_rep = np.repeat(vh, r, axis=0)
-        s_hidden = act(emb @ self.params["mod.h.W"].values.T
-                       + self.params["mod.h.b"].values)
-        s = s_hidden @ self.params["mod.out.W"].values.T \
-            + self.params["mod.out.b"].values
-        z = wh_rep + (s * vh_rep) @ self.params["lora.U"].values.T
-        f = z @ self.params["head.W"].values.T + self.params["head.b"].values
-        return f.reshape(b, r)
+        return self._backbone(self._constants(), ad.tensor(x), False, None).values
 
     def _eval_shared_times(self, h, x, times_1d):
         """Evaluation-mode log-hazards when every subject shares one time
@@ -299,46 +247,23 @@ class HazardModel:
         """
         cfg = self.config
         times_1d = np.asarray(times_1d, dtype=np.float64)
-        n = x.shape[0] if h is None else h.shape[0]
+        p = self._constants()
         if cfg.conditioning == "concat":
-            times = np.broadcast_to(times_1d, (n, len(times_1d))).copy()
-            return self._eval_head_at_times(None, x, times)
-        act = ad.activation_fn(cfg.activation)
-        emb = self._eval_time_embed(times_1d[:, None])
-        w_head = self.params["head.W"].values[0]
-        b_head = self.params["head.b"].values[0]
+            times = np.broadcast_to(times_1d, (x.shape[0], len(times_1d)))
+            return self._forward(p, x, times).values
+        w_head = p["head.W"].values[0]
+        b_head = p["head.b"].values[0]
+        t_col = ad.tensor(times_1d[:, None])
         if cfg.conditioning == "film":
-            g_hidden = act(emb @ self.params["film.h.W"].values.T
-                           + self.params["film.h.b"].values)
-            gamma = g_hidden @ self.params["film.gamma.W"].values.T \
-                + self.params["film.gamma.b"].values
-            beta = g_hidden @ self.params["film.beta.W"].values.T \
-                + self.params["film.beta.b"].values
+            gamma, beta = (m.values for m in self._modulation(p, t_col))
             base = beta @ w_head + b_head
             return (h * w_head) @ gamma.T + base[None, :]
-        wh = h @ self.params["lora.W"].values.T + self.params["lora.b"].values
-        vh = h @ self.params["lora.V"].values.T
-        s_hidden = act(emb @ self.params["mod.h.W"].values.T
-                       + self.params["mod.h.b"].values)
-        s = s_hidden @ self.params["mod.out.W"].values.T \
-            + self.params["mod.out.b"].values
+        s = self._modulation(p, t_col).values
+        wh = h @ p["lora.W"].values.T + p["lora.b"].values
+        vh = h @ p["lora.V"].values.T
         base = wh @ w_head + b_head
-        q = w_head @ self.params["lora.U"].values
+        q = w_head @ p["lora.U"].values
         return base[:, None] + (vh * q) @ s.T
-
-    def log_hazard_matrix(self, x, times):
-        """Evaluation-mode f(x_i, times[i, j]) as an array of shape times.shape."""
-        cfg = self.config
-        x = np.asarray(x, dtype=np.float64)
-        times = np.asarray(times, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != cfg.input_dim:
-            raise ShapeError(
-                f"covariates have shape {x.shape}, expected (batch, {cfg.input_dim})")
-        if times.ndim != 2 or times.shape[0] != x.shape[0]:
-            raise ShapeError(
-                f"times have shape {times.shape}, expected ({x.shape[0]}, n)")
-        h = None if cfg.conditioning == "concat" else self._eval_backbone(x)
-        return self._eval_head_at_times(h, x, times)
 
     # --- public scalar / curve API --------------------------------------
 
@@ -367,7 +292,7 @@ class HazardModel:
         """S(t | x) = exp(-Lambda(t | x)); exactly 1 at t = 0."""
         return float(math.exp(-self.cumulative_hazard_value(x, t, rule)))
 
-    def curves(self, x, grid, rule: QuadratureRule, chunk: int | None = None):
+    def curves(self, x, grid, rule: QuadratureRule):
         """Hazard, cumulative hazard and survival over a shared time grid.
 
         Returns three arrays of shape (n_subjects, len(grid)).  Grid points
@@ -382,9 +307,8 @@ class HazardModel:
         n, g = x.shape[0], len(grid)
         k = rule.order
         h = None if self.config.conditioning == "concat" else self._eval_backbone(x)
-        if chunk is None:
-            budget = 1_500_000 if self.config.conditioning == "concat" else 30_000_000
-            chunk = max(1, budget // max(n * k, 1))
+        budget = 1_500_000 if self.config.conditioning == "concat" else 30_000_000
+        chunk = max(1, budget // max(n * k, 1))
 
         lam = np.exp(self._eval_shared_times(h, x, grid))
         cumhaz = np.empty((n, g))

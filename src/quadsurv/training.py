@@ -51,7 +51,6 @@ class TrainingConfig:
     grad_clip: float = 10.0
     val_grid_points: int = 64
     ctd_tie_tolerance: float = 2e-3
-    lora_position: str = "penultimate"
 
     def __post_init__(self):
         self.hidden = tuple(int(h) for h in self.hidden)
@@ -70,10 +69,6 @@ class TrainingConfig:
             raise UsageError(f"unknown conditioning {self.conditioning!r}")
         if self.activation not in ACTIVATIONS:
             raise UsageError(f"unknown activation {self.activation!r}")
-        if self.lora_position != "penultimate":
-            raise UsageError(
-                "the low-rank time adapter is only supported at the penultimate "
-                f"layer, got position {self.lora_position!r}")
         if self.weight_decay < 0:
             raise UsageError("weight_decay must be >= 0")
 
@@ -108,8 +103,12 @@ def cosine_lr(base_lr: float, epoch: int, t_max: int) -> float:
     return base_lr * 0.5 * (1.0 + math.cos(math.pi * epoch / t_max))
 
 
-def node_time_matrix(times, rule: QuadratureRule) -> np.ndarray:
-    return np.outer(np.asarray(times, dtype=np.float64), rule.unit_nodes)
+def _loss_times(times, rule: QuadratureRule) -> np.ndarray:
+    """(b, K+1) times of the loss: the observed time, then the K node times."""
+    all_times = np.empty((len(times), rule.order + 1))
+    all_times[:, 0] = times
+    all_times[:, 1:] = np.outer(times, rule.unit_nodes)
+    return all_times
 
 
 def nll_loss(model: HazardModel, rule: QuadratureRule, x, times, events,
@@ -127,11 +126,9 @@ def nll_loss(model: HazardModel, rule: QuadratureRule, x, times, events,
     if b == 0:
         raise ContractError("nll_loss requires a nonempty batch")
     k = rule.order
-    all_times = np.empty((b, k + 1))
-    all_times[:, 0] = times
-    all_times[:, 1:] = node_time_matrix(times, rule)
     try:
-        f_all = model.forward_times_recorded(x, all_times, training=training, rng=rng)
+        f_all = model.forward_times_recorded(x, _loss_times(times, rule),
+                                             training=training, rng=rng)
         f_obs = ad.reshape(ad.slice_cols(f_all, 0, 1), (b,))
         lam_nodes = ad.elementwise("exp", ad.slice_cols(f_all, 1, k + 1))
     except NumericDomainError as err:
@@ -167,10 +164,10 @@ def nll_terms(model: HazardModel, rule: QuadratureRule, x, times, events):
     x = np.asarray(x, dtype=np.float64)
     times = np.asarray(times, dtype=np.float64)
     events = np.asarray(events, dtype=np.float64)
-    f_obs = model.log_hazard_matrix(x, times[:, None])[:, 0]
-    lam = np.exp(model.log_hazard_matrix(x, node_time_matrix(times, rule)))
+    f_all = model.log_hazard_matrix(x, _loss_times(times, rule))
+    lam = np.exp(f_all[:, 1:])
     cumhaz = times / 2.0 * (lam @ rule.weights)
-    return events * f_obs, cumhaz
+    return events * f_all[:, 0], cumhaz
 
 
 # --- optimizer ----------------------------------------------------------------
@@ -402,8 +399,7 @@ class TrialRecord:
 
 
 def random_search(space: SearchSpace, trials: int, dataset: SurvivalData,
-                  base_config: TrainingConfig | None = None,
-                  executor_threads: int = 1):
+                  base_config: TrainingConfig | None = None):
     """Random search over the tabular space, selected on validation C_td.
 
     Ties on C_td break toward the lower validation integrated Brier score.
@@ -426,12 +422,7 @@ def random_search(space: SearchSpace, trials: int, dataset: SurvivalData,
         except Exception as err:  # noqa: BLE001 - trial isolation is the contract
             return TrialRecord(i, configs[i], None, None, error=str(err)), None
 
-    if executor_threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=executor_threads) as pool:
-            outcomes = list(pool.map(run_one, range(trials)))
-    else:
-        outcomes = [run_one(i) for i in range(trials)]
+    outcomes = [run_one(i) for i in range(trials)]
 
     records = [rec for rec, _ in outcomes]
     best_rec, best_res = None, None

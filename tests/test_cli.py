@@ -197,6 +197,18 @@ def test_predict_curves(tmp_path, sim_dir, trained):
         lam[int(probe["subject_id"]), 2], abs=1e-12)
 
 
+def test_predict_nan_covariate_fails_without_curves(tmp_path, sim_dir, trained):
+    lines = (sim_dir / "test.csv").read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[0] = "nan"
+    bad = tmp_path / "nan.csv"
+    bad.write_text("\n".join([lines[0], ",".join(cells)] + lines[2:]) + "\n")
+    out = tmp_path / "curves.csv"
+    # a data error (3) or a numeric one (4), never curves of NaN
+    assert run(["predict", trained, bad, "--grid-max", 2.0, "--out", out]) in (3, 4)
+    assert not out.exists()
+
+
 # --- sweep and hpo ----------------------------------------------------------------------
 
 def test_sweep_single_cell_matches_train_evaluate_composition(tmp_path):

@@ -212,6 +212,30 @@ def test_recorded_forward_matches_eval_forward(cond):
     assert np.max(np.abs(recorded.values - evaluated)) < 1e-12
 
 
+@pytest.mark.parametrize("batchnorm", [False, True])
+@pytest.mark.parametrize("cond", ["concat", "film", "lora"])
+def test_grid_curves_match_per_subject_forward(cond, batchnorm):
+    """The factorised shared-grid path computes the per-subject forward."""
+    model = make_model(cond, seed=14, batchnorm=batchnorm, time_scale=2.5)
+    _randomize(model, seed=44)
+    rng = np.random.default_rng(5)
+    for st in model.bn_states:
+        st.running_mean = rng.normal(0.0, 0.5, size=st.running_mean.shape)
+        st.running_var = rng.uniform(0.5, 2.0, size=st.running_var.shape)
+    n, rule = 6, build_rule(7)
+    x = rng.normal(size=(n, 2))
+    grid = np.linspace(0.0, 3.0, 9)
+    lam, cumhaz, _ = model.curves(x, grid, rule)
+
+    lam_ref = np.exp(model.log_hazard_matrix(x, np.broadcast_to(grid, (n, 9))))
+    np.testing.assert_allclose(lam, lam_ref, rtol=1e-12, atol=0.0)
+    node_times = np.broadcast_to(np.outer(grid, rule.unit_nodes).reshape(-1),
+                                 (n, 9 * rule.order))
+    lam_nodes = np.exp(model.log_hazard_matrix(x, node_times)).reshape(n, 9, -1)
+    np.testing.assert_allclose(cumhaz, grid / 2.0 * (lam_nodes @ rule.weights),
+                               rtol=1e-12, atol=0.0)
+
+
 # --- cost asymmetry ----------------------------------------------------------------------
 
 def test_lora_node_cost_sublinear_concat_linear():

@@ -165,7 +165,7 @@ def test_config_validation():
     with pytest.raises(UsageError):
         TrainingConfig(val_fraction=1.0)
     with pytest.raises(UsageError):
-        TrainingConfig(lora_position="backbone.1")
+        TrainingConfig.from_dict({"lora_position": "backbone.1"})
 
 
 def test_config_json_roundtrip():
