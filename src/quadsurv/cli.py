@@ -20,8 +20,8 @@ import numpy as np
 
 from . import __version__
 from . import metrics as mx
-from .data import Standardizer, load_csv, save_csv
-from .errors import QuadSurvError, ShapeError, UsageError
+from .data import Standardizer, load_covariates, load_csv, save_csv
+from .errors import IngestionError, QuadSurvError, UsageError
 from .model import FittedModel, HazardModel
 from .quadrature import build_rule
 from .simulation import (FAMILIES, GeneratorSpec, evaluation_grid, generate,
@@ -86,15 +86,24 @@ def _write_checkpoint(path: Path, result, columns) -> None:
 
 
 def load_checkpoint(path):
-    """Rebuild a FittedModel (model, rule, scaler) from a checkpoint file."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    arch = payload["architecture"]
-    arrays = ad.payload_to_arrays(payload["params"])
-    model = HazardModel.from_architecture(arch, arrays)
-    scaler = Standardizer.from_dict(payload["standardization"])
-    rule = build_rule(int(arch["k_nodes"]))
-    columns = tuple(payload["standardization"]["columns"])
+    """Rebuild a FittedModel (model, rule, scaler) from a checkpoint file.
+
+    A file that is not JSON, lacks a section or an entry, or holds a value
+    the model rejects is a data error: the file, not a flag, is at fault.
+    """
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+        arch = dict(payload["architecture"])
+        rule = build_rule(int(arch.pop("k_nodes")))
+        arrays = ad.payload_to_arrays(payload["params"])
+        model = HazardModel.from_architecture(arch, arrays)
+        scaler = Standardizer.from_dict(payload["standardization"])
+        columns = tuple(payload["standardization"]["columns"])
+    except KeyError as err:
+        raise IngestionError(f"{path}: checkpoint has no entry {err}") from None
+    except (OSError, TypeError, ValueError, UsageError) as err:
+        raise IngestionError(f"{path}: not a valid checkpoint: {err}") from None
     return FittedModel(model=model, rule=rule, scaler=scaler), columns
 
 
@@ -185,12 +194,8 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     t0 = _time.perf_counter()
     fitted, columns = load_checkpoint(args.checkpoint)
-    test = load_csv(args.test_csv)
-    train_data = load_csv(args.train_csv)
-    if test.n_features != len(columns):
-        raise ShapeError(
-            f"test covariate count {test.n_features} does not match "
-            f"checkpoint ({len(columns)})")
+    test = load_csv(args.test_csv, columns)
+    train_data = load_csv(args.train_csv, columns)
 
     def curves_fn(grid):
         return fitted.survival_matrix(test.x, grid)
@@ -209,22 +214,7 @@ def cmd_evaluate(args) -> int:
 
 
 def _load_covariates(path, columns):
-    data_cols = list(columns)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
-    keep = [i for i, c in enumerate(header) if c not in ("time", "event")]
-    names = [header[i] for i in keep]
-    if len(names) != len(data_cols):
-        raise UsageError(
-            f"covariate file has {len(names)} feature columns, checkpoint "
-            f"expects {len(data_cols)}")
-    x = np.array([[float(row[i]) for i in keep] for row in rows])
-    if set(names) == set(data_cols) and names != data_cols:
-        order = [names.index(c) for c in data_cols]
-        x = x[:, order]
-    return x
+    return load_covariates(path, columns)
 
 
 def cmd_predict(args) -> int:

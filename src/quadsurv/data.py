@@ -1,13 +1,21 @@
 """Survival datasets: CSV ingestion, standardization, stratified splits.
 
-The CSV schema is a header row containing ``time`` and ``event`` columns;
-every remaining column is a covariate, kept in header order.  Floats are
-written with ``repr`` so a simulate -> ingest round trip is exact.
+This module holds the only CSV reader.  A file has one header row.  The
+``time`` and ``event`` columns are required for training and evaluation;
+for prediction they are optional and not read.  Every other column is a
+covariate.  Without a column list the covariates are kept in header order;
+with one (the checkpoint's) they are bound by header name, so the file may
+order them freely, and the result follows the list's order.  A covariate
+column missing from the file or not in the list, a duplicate column, and
+an empty, non-numeric or non-finite cell are data errors that name the
+column and, for a cell, the row.  Floats are written with ``repr`` so a
+simulate -> ingest round trip is exact.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,54 +65,93 @@ class SurvivalData:
         return SurvivalData(self.x[idx], self.time[idx], self.event[idx], self.columns)
 
 
-def load_csv(path) -> SurvivalData:
-    """Read a survival CSV, validating the schema column by column."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestionError(f"{path}: empty file") from None
+def _number(path, cell, column, row_no) -> float:
+    if cell == "":
+        raise IngestionError(f"{path}: missing value in column {column!r}, row {row_no}")
+    try:
+        value = float(cell)
+    except ValueError:
+        raise IngestionError(
+            f"{path}: non-numeric value {cell!r} in column {column!r}, row {row_no}"
+        ) from None
+    if not math.isfinite(value):
+        raise IngestionError(
+            f"{path}: non-finite value {cell!r} in column {column!r}, row {row_no}")
+    return value
+
+
+def _column(path, rows, j, column) -> np.ndarray:
+    """Field ``j`` of every row as floats; a bad cell is an error naming its row."""
+    try:
+        values = np.array([float(row[j]) for row in rows])
+    except ValueError:
+        values = None
+    if values is None or not np.isfinite(values).all():
+        # cell by cell, so the error names the first bad cell's row
+        values = np.array([_number(path, row[j], column, i + 2)
+                           for i, row in enumerate(rows)])
+    return values
+
+
+def _read(path, columns, outcomes: bool):
+    """Parse a CSV into (x, time, event, covariate names); see the module doc."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = list(reader)
+    except (OSError, UnicodeDecodeError, csv.Error) as err:
+        raise IngestionError(f"{path}: cannot read CSV: {err}") from None
+    if header is None:
+        raise IngestionError(f"{path}: empty file")
+    duplicates = sorted({c for c in header if header.count(c) > 1})
+    if duplicates:
+        raise IngestionError(f"{path}: duplicate columns {duplicates}")
+    if outcomes:
         for required in RESERVED_COLUMNS:
             if required not in header:
                 raise IngestionError(f"{path}: missing required column {required!r}")
-        covariate_cols = [c for c in header if c not in RESERVED_COLUMNS]
-        if not covariate_cols:
+    present = [c for c in header if c not in RESERVED_COLUMNS]
+    if columns is None:
+        columns = present
+        if not columns:
             raise IngestionError(f"{path}: no covariate columns")
-        idx = {c: header.index(c) for c in header}
-        rows = list(reader)
+    else:
+        columns = list(columns)
+        missing = [c for c in columns if c not in present]
+        unexpected = [c for c in present if c not in columns]
+        if missing or unexpected:
+            raise IngestionError(f"{path}: covariate columns missing {missing}, "
+                                 f"unexpected {unexpected}")
     if not rows:
         raise IngestionError(f"{path}: no data rows")
 
-    n = len(rows)
-    x = np.empty((n, len(covariate_cols)))
-    time = np.empty(n)
-    event = np.empty(n, dtype=np.int64)
     for i, row in enumerate(rows):
         if len(row) != len(header):
             raise IngestionError(f"{path}: row {i + 2} has {len(row)} fields, "
                                  f"expected {len(header)}")
-        for j, c in enumerate(covariate_cols):
-            cell = row[idx[c]]
-            if cell == "":
-                raise IngestionError(f"{path}: missing value in column {c!r}, row {i + 2}")
-            try:
-                x[i, j] = float(cell)
-            except ValueError:
-                raise IngestionError(
-                    f"{path}: non-numeric value {cell!r} in column {c!r}, row {i + 2}"
-                ) from None
-        try:
-            time[i] = float(row[idx["time"]])
-        except ValueError:
-            raise IngestionError(
-                f"{path}: non-numeric value in column 'time', row {i + 2}") from None
-        cell = row[idx["event"]]
+    x = np.column_stack([_column(path, rows, header.index(c), c) for c in columns])
+    if not outcomes:
+        return x, None, None, tuple(columns)
+    time = _column(path, rows, header.index("time"), "time")
+    e = header.index("event")
+    events = [row[e] for row in rows]
+    for i, cell in enumerate(events):
         if cell not in ("0", "1", "0.0", "1.0"):
             raise IngestionError(
                 f"{path}: event must be 0 or 1, got {cell!r} in row {i + 2}")
-        event[i] = int(float(cell))
-    return SurvivalData(x, time, event, tuple(covariate_cols))
+    event = np.array([int(float(cell)) for cell in events], dtype=np.int64)
+    return x, time, event, tuple(columns)
+
+
+def load_csv(path, columns=None) -> SurvivalData:
+    """Read a survival CSV; ``columns`` binds the covariates by name."""
+    return SurvivalData(*_read(path, columns, outcomes=True))
+
+
+def load_covariates(path, columns) -> np.ndarray:
+    """Covariates of a CSV bound by name to ``columns``; time and event are not read."""
+    return _read(path, columns, outcomes=False)[0]
 
 
 def save_csv(data: SurvivalData, path) -> None:

@@ -23,12 +23,12 @@ grid shared by every subject, used for dense curves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ContractError, ShapeError, UsageError
+from .errors import ContractError, IngestionError, ShapeError, UsageError
 from .quadrature import QuadratureRule
 
 CONDITIONING_KINDS = ("concat", "film", "lora")
@@ -70,18 +70,23 @@ class ModelConfig:
             raise UsageError(f"dropout must be in [0, 1), got {self.dropout}")
 
     def as_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "hidden": list(self.hidden),
-            "activation": self.activation,
-            "conditioning": self.conditioning,
-            "rank": self.rank,
-            "time_embed_dim": self.time_embed_dim,
-            "modulation_hidden": self.modulation_hidden,
-            "batchnorm": self.batchnorm,
-            "dropout": self.dropout,
-            "time_scale": self.time_scale,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["hidden"] = list(self.hidden)
+        return d
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "ModelConfig":
+        """Inverse of ``as_dict``; every field must be present and no other.
+
+        The dict comes from a checkpoint file, so a key mismatch is a data error.
+        """
+        names = {f.name for f in fields(cls)}
+        missing, unknown = sorted(names - set(d)), sorted(set(d) - names)
+        if missing or unknown:
+            raise IngestionError(
+                f"architecture keys do not match ModelConfig: missing {missing}, "
+                f"unknown {unknown}")
+        return cls(**d)
 
 
 def _glorot(rng, d_out, d_in):
@@ -356,18 +361,7 @@ class HazardModel:
 
     @classmethod
     def from_architecture(cls, arch: dict, arrays: dict | None = None) -> "HazardModel":
-        cfg = ModelConfig(
-            input_dim=int(arch["input_dim"]),
-            hidden=tuple(arch["hidden"]),
-            activation=arch["activation"],
-            conditioning=arch["conditioning"],
-            rank=int(arch.get("rank", 8)),
-            time_embed_dim=int(arch.get("time_embed_dim", 16)),
-            modulation_hidden=int(arch.get("modulation_hidden", 32)),
-            batchnorm=bool(arch.get("batchnorm", False)),
-            dropout=float(arch.get("dropout", 0.0)),
-        )
-        model = cls(cfg, np.random.default_rng(0))
+        model = cls(ModelConfig.from_dict(arch), np.random.default_rng(0))
         if arrays is not None:
             model.load_state_arrays(arrays)
         return model

@@ -3,15 +3,19 @@
 import csv
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from quadsurv import cli
-from quadsurv.data import load_csv
-from quadsurv.model import FittedModel
+from quadsurv.data import Standardizer, load_csv
+from quadsurv.model import FittedModel, HazardModel, ModelConfig
+from quadsurv.quadrature import build_rule
 from quadsurv.simulation import GeneratorSpec, generate, evaluation_grid, l1_error
-from quadsurv.training import TrainingConfig, train
+from quadsurv.training import TrainResult, TrainingConfig, train
 
 TINY_CONFIG = {
     "k_nodes": 4, "hidden": [8], "rank": 2, "time_embed_dim": 4,
@@ -197,16 +201,160 @@ def test_predict_curves(tmp_path, sim_dir, trained):
         lam[int(probe["subject_id"]), 2], abs=1e-12)
 
 
-def test_predict_nan_covariate_fails_without_curves(tmp_path, sim_dir, trained):
+def test_predict_nan_covariate_fails_without_curves(tmp_path, sim_dir, trained, capsys):
     lines = (sim_dir / "test.csv").read_text().splitlines()
     cells = lines[1].split(",")
     cells[0] = "nan"
     bad = tmp_path / "nan.csv"
     bad.write_text("\n".join([lines[0], ",".join(cells)] + lines[2:]) + "\n")
     out = tmp_path / "curves.csv"
-    # a data error (3) or a numeric one (4), never curves of NaN
-    assert run(["predict", trained, bad, "--grid-max", 2.0, "--out", out]) in (3, 4)
+    assert run(["predict", trained, bad, "--grid-max", 2.0, "--out", out]) == 3
+    assert "column 'x', row 2" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
+@pytest.mark.parametrize("cell", ["", "abc", "inf", "-inf", "nan"])
+def test_bad_covariate_cell_exit_3(tmp_path, sim_dir, trained, capsys, command, cell):
+    lines = (sim_dir / "test.csv").read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[0] = cell
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines[:3] + [",".join(cells)] + lines[4:]) + "\n")
+    argv = {"train": ["train", write_config(tmp_path), bad],
+            "evaluate": ["evaluate", trained, bad, sim_dir / "train.csv"],
+            "predict": ["predict", trained, bad, "--grid-max", 2.0]}[command]
+    capsys.readouterr()
+    assert run(argv + ["--out", tmp_path / "out"]) == 3
+    assert "column 'x', row 4" in capsys.readouterr().err
+
+
+def test_predict_covariates_only_file_matches_full_file(tmp_path, sim_dir, trained):
+    with open(sim_dir / "test.csv") as fh:
+        rows = [[row["x"]] for row in csv.DictReader(fh)]
+    only = tmp_path / "x.csv"
+    cli._write_rows(only, ["x"], rows)
+    args = ["--grid-max", 2.0, "--grid-points", 5]
+    assert run(["predict", trained, sim_dir / "test.csv", *args,
+                "--out", tmp_path / "full.csv"]) == 0
+    assert run(["predict", trained, only, *args, "--out", tmp_path / "only.csv"]) == 0
+    assert (tmp_path / "full.csv").read_bytes() == (tmp_path / "only.csv").read_bytes()
+
+
+@pytest.mark.parametrize("key", ["time_scale", "lora_position"])
+def test_checkpoint_architecture_keys_must_match_exit_3(tmp_path, sim_dir, trained,
+                                                        capsys, key):
+    payload = json.loads(trained.read_text())
+    arch = payload["architecture"]
+    if key in arch:
+        del arch[key]
+    else:
+        arch[key] = "penultimate"
+    bad = tmp_path / "checkpoint.json"
+    bad.write_text(json.dumps(payload))
+    assert run(["predict", bad, sim_dir / "test.csv", "--grid-max", 2.0,
+                "--out", tmp_path / "curves.csv"]) == 3
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["not json", "architecture", "standardization",
+                                    "params", "k_nodes=0"])
+def test_malformed_checkpoint_exit_3(tmp_path, sim_dir, trained, damage):
+    bad = tmp_path / "checkpoint.json"
+    payload = json.loads(trained.read_text())
+    if damage == "not json":
+        bad.write_text(trained.read_text()[:-20])
+    elif damage == "k_nodes=0":
+        payload["architecture"]["k_nodes"] = 0
+        bad.write_text(json.dumps(payload))
+    else:
+        del payload[damage]
+        bad.write_text(json.dumps(payload))
+    assert run(["evaluate", bad, sim_dir / "test.csv", sim_dir / "train.csv",
+                "--out", tmp_path / "r.json"]) == 3
+    assert run(["predict", bad, sim_dir / "test.csv", "--grid-max", 2.0,
+                "--out", tmp_path / "curves.csv"]) == 3
+
+
+# --- round trip through checkpoint and CSV ----------------------------------------------
+
+COVARIATES = ("age", "dose", "z")
+
+
+def _random_fit(head, batchnorm, time_scale, seed):
+    rng = np.random.default_rng(seed)
+    cfg = ModelConfig(input_dim=len(COVARIATES), hidden=(6,), activation="tanh",
+                      conditioning=head, rank=2, time_embed_dim=4,
+                      modulation_hidden=4, batchnorm=batchnorm, time_scale=time_scale)
+    model = HazardModel(cfg, rng)
+    for p in model.params.values():
+        p.values = rng.normal(0.0, 0.5, size=p.values.shape)
+    for state in model.bn_states:
+        state.running_mean = rng.normal(size=state.running_mean.shape)
+        state.running_var = rng.uniform(0.5, 2.0, size=state.running_var.shape)
+    scaler = Standardizer(mean=rng.normal(size=len(COVARIATES)),
+                          scale=rng.uniform(0.5, 2.0, size=len(COVARIATES)))
+    return FittedModel(model, build_rule(5), scaler)
+
+
+def _read_curves(path, n, g):
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))
+    return [np.array([float(r[k]) for r in rows]).reshape(n, g)
+            for k in ("hazard", "cumhaz", "survival")]
+
+
+@pytest.mark.parametrize("batchnorm", [False, True])
+@pytest.mark.parametrize("head", ["concat", "film", "lora"])
+# no shrink phase: each example runs the CLI five times, so shrinking a failure
+# would take minutes
+@settings(max_examples=3, deadline=None, database=None, derandomize=True,
+          phases=[Phase.explicit, Phase.generate])
+@given(time_scale=st.floats(0.2, 20.0).filter(lambda v: v != 1.0),
+       seed=st.integers(0, 2**16), order=st.permutations(range(5)))
+def test_checkpoint_and_csv_roundtrip_through_cli(head, batchnorm, time_scale, seed,
+                                                 order):
+    fitted = _random_fit(head, batchnorm, time_scale, seed)
+    rng = np.random.default_rng(seed + 1)
+    n = 40
+    table = {c: rng.normal(size=n) for c in COVARIATES}
+    table["time"] = rng.exponential(2.0, size=n) + 0.05
+    table["event"] = (rng.random(n) < 0.7).astype(int)
+    header = list(COVARIATES) + ["time", "event"]
+    shuffled = [header[i] for i in order]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        checkpoint = tmp / "checkpoint.json"
+        cli._write_checkpoint(checkpoint, TrainResult(
+            fitted.model, fitted.scaler, fitted.rule, TrainingConfig(k_nodes=5)),
+            COVARIATES)
+        files = {}
+        for name, cols in (("data", header), ("shuffled", shuffled),
+                           ("renamed", ["w" if c == "dose" else c for c in shuffled])):
+            files[name] = tmp / f"{name}.csv"
+            cli._write_rows(files[name], cols,
+                            zip(*(table["dose" if c == "w" else c] for c in cols)))
+
+        grid = np.linspace(0.0, 3.0, 7)
+        assert run(["predict", checkpoint, files["shuffled"], "--grid-max", 3.0,
+                    "--grid-points", 7, "--out", tmp / "curves.csv"]) == 0
+        x = np.column_stack([table[c] for c in COVARIATES])
+        for got, want in zip(_read_curves(tmp / "curves.csv", n, len(grid)),
+                             fitted.curves_matrix(x, grid)):
+            np.testing.assert_array_equal(got, want)
+
+        reports = []
+        for name in ("data", "shuffled"):
+            out = tmp / name / "report.json"
+            assert run(["evaluate", checkpoint, files[name], files["data"],
+                        "--out", out]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
+        assert run(["predict", checkpoint, files["renamed"], "--grid-max", 3.0,
+                    "--out", tmp / "renamed.csv"]) == 3
+        assert run(["evaluate", checkpoint, files["renamed"], files["data"],
+                    "--out", tmp / "renamed.json"]) == 3
 
 
 # --- sweep and hpo ----------------------------------------------------------------------

@@ -263,16 +263,19 @@ def test_lora_node_cost_sublinear_concat_linear():
 
 @pytest.mark.parametrize("cond", ["concat", "film", "lora"])
 def test_state_roundtrip_preserves_predictions(cond):
-    model = make_model(cond, seed=4, batchnorm=True)
-    _randomize(model, seed=7)
-    arch = model.config.as_dict()
-    arrays = model.copy_state()
-    clone = HazardModel.from_architecture(arch, arrays)
-    rng = np.random.default_rng(8)
-    x = rng.normal(size=(5, 2))
-    times = rng.uniform(0, 2, size=(5, 3))
-    np.testing.assert_array_equal(model.log_hazard_matrix(x, times),
-                                  clone.log_hazard_matrix(x, times))
+    # concat divides time by time_scale, so only a scale != 1 shows it dropped
+    for time_scale in (1.0, 2.5):
+        model = make_model(cond, seed=4, batchnorm=True, time_scale=time_scale)
+        _randomize(model, seed=7)
+        arch = model.config.as_dict()
+        arrays = model.copy_state()
+        clone = HazardModel.from_architecture(arch, arrays)
+        assert clone.config == model.config
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(5, 2))
+        times = rng.uniform(0, 2, size=(5, 3))
+        np.testing.assert_array_equal(model.log_hazard_matrix(x, times),
+                                      clone.log_hazard_matrix(x, times))
 
 
 def test_checkpoint_shape_mismatch_detected():
