@@ -88,8 +88,9 @@ def _write_checkpoint(path: Path, result, columns) -> None:
 def load_checkpoint(path):
     """Rebuild a FittedModel (model, rule, scaler) from a checkpoint file.
 
-    A file that is not JSON, lacks a section or an entry, or holds a value
-    the model rejects is a data error: the file, not a flag, is at fault.
+    A file that is not JSON, lacks a section or an entry, holds a value the
+    model rejects, or standardizes a number of columns other than the
+    model's input width is a data error: the file, not a flag, is at fault.
     """
     try:
         with open(path) as fh:
@@ -100,6 +101,12 @@ def load_checkpoint(path):
         model = HazardModel.from_architecture(arch, arrays)
         scaler = Standardizer.from_dict(payload["standardization"])
         columns = tuple(payload["standardization"]["columns"])
+        widths = (len(columns), len(scaler.mean), len(scaler.scale))
+        if widths != (model.config.input_dim,) * 3:
+            raise IngestionError(
+                f"{path}: standardization has {widths[0]} columns, {widths[1]} means "
+                f"and {widths[2]} scales; the model's input width is "
+                f"{model.config.input_dim}")
     except KeyError as err:
         raise IngestionError(f"{path}: checkpoint has no entry {err}") from None
     except (OSError, TypeError, ValueError, UsageError) as err:

@@ -6,10 +6,10 @@ for prediction they are optional and not read.  Every other column is a
 covariate.  Without a column list the covariates are kept in header order;
 with one (the checkpoint's) they are bound by header name, so the file may
 order them freely, and the result follows the list's order.  A covariate
-column missing from the file or not in the list, a duplicate column, and
-an empty, non-numeric or non-finite cell are data errors that name the
-column and, for a cell, the row.  Floats are written with ``repr`` so a
-simulate -> ingest round trip is exact.
+column missing from the file or not in the list, a duplicate column, an
+empty, non-numeric or non-finite cell, and a negative time are data errors
+that name the column and, for a cell, the row.  Floats are written with
+``repr`` so a simulate -> ingest round trip is exact.
 """
 
 from __future__ import annotations
@@ -133,7 +133,13 @@ def _read(path, columns, outcomes: bool):
     x = np.column_stack([_column(path, rows, header.index(c), c) for c in columns])
     if not outcomes:
         return x, None, None, tuple(columns)
-    time = _column(path, rows, header.index("time"), "time")
+    t = header.index("time")
+    time = _column(path, rows, t, "time")
+    negative = np.flatnonzero(time < 0)
+    if len(negative):
+        i = int(negative[0])
+        raise IngestionError(
+            f"{path}: negative value {rows[i][t]!r} in column 'time', row {i + 2}")
     e = header.index("event")
     events = [row[e] for row in rows]
     for i, cell in enumerate(events):

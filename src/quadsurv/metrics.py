@@ -18,6 +18,7 @@ from .errors import ContractError, HorizonError, UndefinedMetricError
 
 IPCW_CAP = 10.0
 SURVIVAL_CLAMP = 1e-7
+CTD_BLOCK_CELLS = 1 << 19  # (subject, event) cells c_index_td compares at once
 
 
 # --- step functions and Kaplan-Meier -----------------------------------------
@@ -75,54 +76,56 @@ def censoring_survival(times, events) -> StepFunction:
 # --- prediction container -----------------------------------------------------
 
 class SurvivalCurves:
-    """Per-subject survival probabilities over a shared ascending grid."""
+    """Per-subject survival probabilities over a shared ascending grid.
+
+    Linear between grid points, anchored at S(0) = 1, constant past the end.
+    """
 
     def __init__(self, grid, values):
         self.grid = np.asarray(grid, dtype=np.float64)
         self.values = np.asarray(values, dtype=np.float64)
-        if self.grid.ndim != 1 or np.any(np.diff(self.grid) <= 0):
-            raise ContractError("prediction grid must be strictly ascending")
+        if self.grid.ndim != 1 or not len(self.grid) or np.any(np.diff(self.grid) <= 0):
+            raise ContractError("prediction grid must be nonempty and strictly ascending")
         if self.values.ndim != 2 or self.values.shape[1] != len(self.grid):
             raise ContractError(
                 f"prediction matrix {self.values.shape} does not match grid "
                 f"length {len(self.grid)}")
+        pad = int(self.grid[0] > 0)  # prepend the S(0) = 1 anchor unless the grid has it
+        self._grid = np.pad(self.grid, (pad, 0))
+        self._values = np.pad(self.values, ((0, 0), (pad, 0)), constant_values=1.0)
 
     @property
     def n_subjects(self):
         return self.values.shape[0]
 
-    def at_times(self, ts):
-        """Linear interpolation at arbitrary times, shape (n_subjects, len(ts)).
-
-        Anchored at S(0) = 1; constant extrapolation past the last grid point.
-        """
-        ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
-        grid = np.concatenate([[0.0], self.grid]) if self.grid[0] > 0 else self.grid
-        vals = (np.hstack([np.ones((self.n_subjects, 1)), self.values])
-                if self.grid[0] > 0 else self.values)
+    def _interpolate(self, ts, rows):
+        """Values at ``ts`` of all subjects (``rows`` a slice) or of one per time."""
+        grid = self._grid
         idx = np.clip(np.searchsorted(grid, ts, side="right") - 1, 0, len(grid) - 2)
         t0, t1 = grid[idx], grid[idx + 1]
-        frac = np.where(t1 > t0, (ts - t0) / (t1 - t0), 0.0)
-        frac = np.clip(frac, 0.0, 1.0)
-        return vals[:, idx] * (1.0 - frac) + vals[:, idx + 1] * frac
+        frac = np.clip(np.where(t1 > t0, (ts - t0) / (t1 - t0), 0.0), 0.0, 1.0)
+        return self._values[rows, idx] * (1.0 - frac) + self._values[rows, idx + 1] * frac
+
+    def at_times(self, ts):
+        """Values at arbitrary times, shape (n_subjects, len(ts))."""
+        ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
+        return self._interpolate(ts, slice(None))
 
     def at_own_times(self, ts):
-        """S_i(t_i) for one time per subject."""
+        """S_i(t_i) for one time per subject, gathered one cell per row."""
         ts = np.asarray(ts, dtype=np.float64)
         if len(ts) != self.n_subjects:
             raise ContractError("need exactly one time per subject")
-        full = self.at_times(ts)
-        return full[np.arange(len(ts)), np.arange(len(ts))]
+        return self._interpolate(ts, np.arange(len(ts)))
 
 
 # --- IPCW weights --------------------------------------------------------------
 
 def _capped_inverse(g_values):
+    """Weights min(1 / g, cap) and the mask of those the cap clipped."""
     g = np.asarray(g_values, dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        inv = np.where(g > 0, 1.0 / g, np.inf)
-    clipped = int(np.sum(inv > IPCW_CAP))
-    return np.minimum(inv, IPCW_CAP), clipped
+    inv = np.divide(1.0, g, out=np.full_like(g, np.inf), where=g > 0)
+    return np.minimum(inv, IPCW_CAP), inv > IPCW_CAP
 
 
 # --- time-dependent concordance -------------------------------------------------
@@ -153,71 +156,68 @@ def c_index_td(curves: SurvivalCurves, times, events, ghat: StepFunction,
     ev = np.flatnonzero(events & (times < horizon))
     if len(ev) == 0:
         raise UndefinedMetricError("no event subject before the horizon")
-    g_left = ghat(times[ev], side="left")
-    w_sq, clipped = _capped_inverse(np.asarray(g_left) ** 2)
+    w_sq, clipped = _capped_inverse(ghat(times[ev], side="left") ** 2)
 
-    s_at_event_times = curves.at_times(times[ev])  # (n, n_ev)
-    numer = 0.0
-    denom = 0.0
-    tied = 0
-    comparable = 0
-    for col, i in enumerate(ev):
-        later = times > times[i]
-        n_later = int(np.sum(later))
-        if n_later == 0:
-            continue
-        s_i = s_at_event_times[i, col]
-        s_j = s_at_event_times[later, col]
-        n_conc = int(np.sum(s_j > s_i))
-        tied += int(np.sum(s_j == s_i))
-        numer += w_sq[col] * n_conc
-        denom += w_sq[col] * n_later
-        comparable += n_later
+    counts = np.empty((3, len(ev)), dtype=np.int64)  # later, concordant, tied
+    width = max(1, CTD_BLOCK_CELLS // len(times))
+    for lo in range(0, len(ev), width):
+        cols = ev[lo:lo + width]
+        s = curves.at_times(times[cols])  # S_j(o_i), one column per event i
+        s_own = s[cols, np.arange(len(cols))]
+        later = times[:, None] > times[cols]
+        counts[:, lo:lo + width] = [np.count_nonzero(m, axis=0) for m in
+                                    (later, later & (s > s_own), later & (s == s_own))]
+    later, concordant, tied = counts
+    numer = np.cumsum(w_sq * concordant)[-1]  # sequential, so blocking cannot change it
+    denom = np.cumsum(w_sq * later)[-1]
+    comparable = int(later.sum())
     if comparable == 0 or denom == 0.0:
         raise UndefinedMetricError("no comparable pairs before the horizon")
     return CIndexResult(value=float(numer / denom), n_comparable_pairs=comparable,
-                        n_tied_predictions=tied, n_clipped_weights=clipped)
+                        n_tied_predictions=int(tied.sum()),
+                        n_clipped_weights=int(clipped.sum()))
 
 
 # --- Brier score and binomial log-likelihood -------------------------------------
 
+def _ipcw_scores(curves: SurvivalCurves, times, events, ghat: StepFunction, ts):
+    """Brier score, binomial log-likelihood and clipped weights at each of ``ts``.
+
+    Arrays are (time, subject) and row-major: each mean sums like a 1-D one.
+    """
+    times = np.asarray(times, dtype=np.float64)
+    events = np.asarray(events).astype(bool)
+    ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
+    g_t = ghat(ts)
+    if np.any(g_t <= 0.0):
+        raise HorizonError(f"time {ts[g_t <= 0.0][0]} is beyond the censoring support")
+    s = np.ascontiguousarray(curves.at_times(ts).T)
+    s_bll = np.clip(s, SURVIVAL_CLAMP, 1.0 - SURVIVAL_CLAMP)
+    died = (times < ts[:, None]) & events
+    alive = times > ts[:, None]
+    w_died, _ = _capped_inverse(ghat(times, side="left"))
+    w_alive, clip_alive = _capped_inverse(g_t[:, None])
+
+    def mean(if_died, if_alive):
+        terms = np.where(died, if_died * w_died, np.where(alive, if_alive * w_alive, 0.0))
+        return terms.mean(axis=1)
+
+    clipped = np.count_nonzero(died & (w_died >= IPCW_CAP), axis=1) + (
+        clip_alive[:, 0] & alive.any(axis=1))
+    return mean(s ** 2, (1.0 - s) ** 2), mean(np.log(1.0 - s_bll), np.log(s_bll)), clipped
+
+
 def brier_score(curves: SurvivalCurves, times, events, ghat: StepFunction,
                 t: float):
     """IPCW Brier score at a single time point; also reports clip count."""
-    times = np.asarray(times, dtype=np.float64)
-    events = np.asarray(events).astype(bool)
-    if ghat(t) <= 0.0:
-        raise HorizonError(f"time {t} is beyond the censoring support")
-    s_t = curves.at_times([t])[:, 0]
-    died = (times < t) & events
-    alive = times > t
-    w_event, _ = _capped_inverse(ghat(times, side="left"))
-    w_at_t, clip_at_t = _capped_inverse(np.full(1, ghat(t)))
-    contrib = np.zeros(len(times))
-    contrib[died] = (s_t[died] ** 2) * w_event[died]
-    contrib[alive] = ((1.0 - s_t[alive]) ** 2) * w_at_t[0]
-    clipped = int(np.sum(w_event[died] >= IPCW_CAP))
-    if np.any(alive):
-        clipped += clip_at_t
-    return float(contrib.mean()), clipped
+    brier, _, clipped = _ipcw_scores(curves, times, events, ghat, t)
+    return float(brier[0]), int(clipped[0])
 
 
 def binomial_log_likelihood(curves: SurvivalCurves, times, events,
                             ghat: StepFunction, t: float):
     """IPCW binomial log-likelihood at time t (higher is better, <= 0)."""
-    times = np.asarray(times, dtype=np.float64)
-    events = np.asarray(events).astype(bool)
-    if ghat(t) <= 0.0:
-        raise HorizonError(f"time {t} is beyond the censoring support")
-    s_t = np.clip(curves.at_times([t])[:, 0], SURVIVAL_CLAMP, 1.0 - SURVIVAL_CLAMP)
-    died = (times < t) & events
-    alive = times > t
-    w_event, _ = _capped_inverse(ghat(times, side="left"))
-    w_at_t, _ = _capped_inverse(np.full(1, ghat(t)))
-    contrib = np.zeros(len(times))
-    contrib[died] = np.log(1.0 - s_t[died]) * w_event[died]
-    contrib[alive] = np.log(s_t[alive]) * w_at_t[0]
-    return float(contrib.mean())
+    return float(_ipcw_scores(curves, times, events, ghat, t)[1][0])
 
 
 def _integration_grid(times, horizon, n_points=100):
@@ -231,24 +231,24 @@ def _integration_grid(times, horizon, n_points=100):
     return np.linspace(start, horizon, n_points)
 
 
+def _integrated(curves, times, events, ghat, horizon, n_points, score):
+    """Trapezoid integral of one ``_ipcw_scores`` score, normalized by the window."""
+    grid = _integration_grid(times, horizon, n_points)
+    values = _ipcw_scores(curves, times, events, ghat, grid)[score]
+    if len(grid) == 1:
+        return float(values[0])
+    return float(np.trapezoid(values, grid) / (grid[-1] - grid[0]))
+
+
 def integrated_brier_score(curves, times, events, ghat, horizon,
                            n_points: int = 100):
     """Trapezoid integral of BS(t) over the evaluation window, normalized."""
-    grid = _integration_grid(times, horizon, n_points)
-    scores = np.array([brier_score(curves, times, events, ghat, t)[0] for t in grid])
-    if len(grid) == 1:
-        return float(scores[0])
-    return float(np.trapezoid(scores, grid) / (grid[-1] - grid[0]))
+    return _integrated(curves, times, events, ghat, horizon, n_points, 0)
 
 
 def integrated_binomial_ll(curves, times, events, ghat, horizon,
                            n_points: int = 100):
-    grid = _integration_grid(times, horizon, n_points)
-    vals = np.array([binomial_log_likelihood(curves, times, events, ghat, t)
-                     for t in grid])
-    if len(grid) == 1:
-        return float(vals[0])
-    return float(np.trapezoid(vals, grid) / (grid[-1] - grid[0]))
+    return _integrated(curves, times, events, ghat, horizon, n_points, 1)
 
 
 # --- D-calibration ---------------------------------------------------------------
@@ -344,16 +344,15 @@ def evaluation_report(curves_fn, train_times, train_events, test_times,
     horizons = select_horizons(train_times, train_events, test_times)
     ghat = censoring_survival(train_times, train_events)
 
-    full_grid = _integration_grid(test_times, horizons.full, n_grid)
-    full_curves = SurvivalCurves(full_grid, curves_fn(full_grid))
-
     report = {"horizons": {}, "horizon_taus": horizons.as_dict()}
     clip_events = 0
     n_comparable = None
     for name, tau in (("full", horizons.full), ("q1", horizons.q1),
                       ("q2", horizons.q2)):
         grid = _integration_grid(test_times, tau, n_grid)
-        curves = SurvivalCurves(grid, curves_fn(grid)) if name != "full" else full_curves
+        curves = SurvivalCurves(grid, curves_fn(grid))
+        if name == "full":
+            full_curves = curves
         try:
             cres = c_index_td(full_curves, test_times, test_events, ghat, tau)
             ctd = cres.value

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import time as _time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -73,13 +73,14 @@ class TrainingConfig:
             raise UsageError("weight_decay must be >= 0")
 
     def model_config(self, input_dim: int, time_scale: float = 1.0) -> ModelConfig:
-        return ModelConfig(
-            input_dim=input_dim, hidden=self.hidden, activation=self.activation,
-            conditioning=self.conditioning, rank=self.rank,
-            time_embed_dim=self.time_embed_dim,
-            modulation_hidden=self.modulation_hidden,
-            batchnorm=self.batchnorm, dropout=self.dropout,
-            time_scale=time_scale)
+        """``input_dim`` and ``time_scale`` come from the data, the rest from here.
+
+        Every other ModelConfig field is read from the field of the same name,
+        so a model field this config lacks fails loudly instead of defaulting.
+        """
+        shared = {f.name: getattr(self, f.name) for f in fields(ModelConfig)
+                  if f.name not in ("input_dim", "time_scale")}
+        return ModelConfig(input_dim=input_dim, time_scale=time_scale, **shared)
 
     def as_dict(self) -> dict:
         d = {k: getattr(self, k) for k in self.__dataclass_fields__}

@@ -213,20 +213,35 @@ def test_predict_nan_covariate_fails_without_curves(tmp_path, sim_dir, trained, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
-@pytest.mark.parametrize("cell", ["", "abc", "inf", "-inf", "nan"])
-def test_bad_covariate_cell_exit_3(tmp_path, sim_dir, trained, capsys, command, cell):
+def _run_with_bad_cell(tmp_path, sim_dir, trained, capsys, command, column, cell):
+    """Run ``command`` on test.csv with ``cell`` in row 4 of ``column``; (code, stderr)."""
     lines = (sim_dir / "test.csv").read_text().splitlines()
     cells = lines[3].split(",")
-    cells[0] = cell
+    cells[lines[0].split(",").index(column)] = cell
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(lines[:3] + [",".join(cells)] + lines[4:]) + "\n")
     argv = {"train": ["train", write_config(tmp_path), bad],
             "evaluate": ["evaluate", trained, bad, sim_dir / "train.csv"],
             "predict": ["predict", trained, bad, "--grid-max", 2.0]}[command]
     capsys.readouterr()
-    assert run(argv + ["--out", tmp_path / "out"]) == 3
-    assert "column 'x', row 4" in capsys.readouterr().err
+    code = run(argv + ["--out", tmp_path / "out"])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
+@pytest.mark.parametrize("cell", ["", "abc", "inf", "-inf", "nan"])
+def test_bad_covariate_cell_exit_3(tmp_path, sim_dir, trained, capsys, command, cell):
+    code, err = _run_with_bad_cell(tmp_path, sim_dir, trained, capsys, command, "x", cell)
+    assert code == 3
+    assert "column 'x', row 4" in err
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_negative_time_cell_exit_3(tmp_path, sim_dir, trained, capsys, command):
+    code, err = _run_with_bad_cell(tmp_path, sim_dir, trained, capsys, command,
+                                   "time", "-1.0")
+    assert code == 3
+    assert "negative value '-1.0' in column 'time', row 4" in err
 
 
 def test_predict_covariates_only_file_matches_full_file(tmp_path, sim_dir, trained):
@@ -258,8 +273,9 @@ def test_checkpoint_architecture_keys_must_match_exit_3(tmp_path, sim_dir, train
 
 
 @pytest.mark.parametrize("damage", ["not json", "architecture", "standardization",
-                                    "params", "k_nodes=0"])
-def test_malformed_checkpoint_exit_3(tmp_path, sim_dir, trained, damage):
+                                    "params", "k_nodes=0", "columns+1", "mean+1",
+                                    "scale+1"])
+def test_malformed_checkpoint_exit_3(tmp_path, sim_dir, trained, capsys, damage):
     bad = tmp_path / "checkpoint.json"
     payload = json.loads(trained.read_text())
     if damage == "not json":
@@ -267,13 +283,22 @@ def test_malformed_checkpoint_exit_3(tmp_path, sim_dir, trained, damage):
     elif damage == "k_nodes=0":
         payload["architecture"]["k_nodes"] = 0
         bad.write_text(json.dumps(payload))
+    elif damage.endswith("+1"):
+        entry = payload["standardization"][damage[:-2]]
+        entry.append("x2" if damage == "columns+1" else 1.0)
+        bad.write_text(json.dumps(payload))
     else:
         del payload[damage]
         bad.write_text(json.dumps(payload))
+    capsys.readouterr()
     assert run(["evaluate", bad, sim_dir / "test.csv", sim_dir / "train.csv",
                 "--out", tmp_path / "r.json"]) == 3
     assert run(["predict", bad, sim_dir / "test.csv", "--grid-max", 2.0,
                 "--out", tmp_path / "curves.csv"]) == 3
+    if damage.endswith("+1"):
+        err = capsys.readouterr().err
+        assert f"{bad}: standardization has" in err
+        assert "the model's input width is 1" in err
 
 
 # --- round trip through checkpoint and CSV ----------------------------------------------

@@ -1,13 +1,15 @@
 """Kaplan-Meier, IPCW concordance, Brier/BLL, D-calibration, horizons."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from quadsurv import metrics
 from quadsurv.errors import ContractError, HorizonError, UndefinedMetricError
-from quadsurv.metrics import (StepFunction,
+from quadsurv.metrics import (IPCW_CAP, SURVIVAL_CLAMP, StepFunction,
                               SurvivalCurves, binomial_log_likelihood,
                               brier_score, c_index_td, censoring_survival,
                               d_calibration, evaluation_report,
@@ -337,3 +339,144 @@ def test_evaluation_report_schema_and_finiteness():
         assert h["ctd"] is None or 0.0 <= h["ctd"] <= 1.0
     assert 0.0 <= report["dcal_p"] <= 1.0
     assert report["n_comparable_pairs"] > 0
+
+
+def test_evaluation_report_memory_is_linear_in_subjects():
+    # an (n, n) float64 matrix alone would take n^2 * 8 bytes = 288 MB here
+    rng = np.random.default_rng(8)
+    n = 6000
+    rates = np.exp(0.8 * rng.normal(size=n))
+    t_event = rng.exponential(1.0 / rates)
+    t_cens = rng.exponential(2.0, size=n)
+    times = np.minimum(t_event, t_cens)
+    events = (t_event <= t_cens).astype(int)
+    tracemalloc.start()
+    try:
+        evaluation_report(lambda grid: np.exp(-np.outer(rates, grid)),
+                          times[:2000], events[:2000], times, events)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 150 * 2 ** 20
+
+
+# --- exact equality with the per-event and per-time reference loops ---------------------
+
+def _ref_weights(g):
+    g = np.asarray(g, dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        inv = np.where(g > 0, 1.0 / g, np.inf)
+    return np.minimum(inv, IPCW_CAP), int(np.sum(inv > IPCW_CAP))
+
+
+def _ref_c_index(curves, times, events, ghat, horizon):
+    """One event at a time over an (n, n_events) matrix, with sequential sums."""
+    ev = np.flatnonzero(events.astype(bool) & (times < horizon))
+    if len(ev) == 0:
+        return None
+    w_sq, clipped = _ref_weights(np.asarray(ghat(times[ev], side="left")) ** 2)
+    s_at_event_times = curves.at_times(times[ev])
+    numer = denom = 0.0
+    tied = comparable = 0
+    for col, i in enumerate(ev):
+        later = times > times[i]
+        n_later = int(np.sum(later))
+        if n_later == 0:
+            continue
+        s_i = s_at_event_times[i, col]
+        s_j = s_at_event_times[later, col]
+        tied += int(np.sum(s_j == s_i))
+        numer += w_sq[col] * int(np.sum(s_j > s_i))
+        denom += w_sq[col] * n_later
+        comparable += n_later
+    if comparable == 0 or denom == 0.0:
+        return None
+    return float(numer / denom), comparable, tied, clipped
+
+
+def _ref_scores(curves, times, events, ghat, t):
+    """Brier score, its clip count and the binomial log-likelihood at one time."""
+    events = events.astype(bool)
+    s_t = curves.at_times([t])[:, 0]
+    s_bll = np.clip(s_t, SURVIVAL_CLAMP, 1.0 - SURVIVAL_CLAMP)
+    died = (times < t) & events
+    alive = times > t
+    w_event, _ = _ref_weights(ghat(times, side="left"))
+    w_at_t, clip_at_t = _ref_weights(np.full(1, ghat(t)))
+    brier = np.zeros(len(times))
+    brier[died] = (s_t[died] ** 2) * w_event[died]
+    brier[alive] = ((1.0 - s_t[alive]) ** 2) * w_at_t[0]
+    bll = np.zeros(len(times))
+    bll[died] = np.log(1.0 - s_bll[died]) * w_event[died]
+    bll[alive] = np.log(s_bll[alive]) * w_at_t[0]
+    clipped = int(np.sum(w_event[died] >= IPCW_CAP)) + (clip_at_t if np.any(alive) else 0)
+    return float(brier.mean()), clipped, float(bll.mean())
+
+
+def _random_case(rng, grid_from_zero):
+    n = int(rng.integers(2, 300))
+    if rng.random() < 0.5:  # few distinct times: tied observations
+        times = rng.choice(np.round(rng.exponential(1.0, size=8), 2), size=n)
+    else:
+        times = rng.exponential(1.0, size=n)
+    events = (rng.random(n) < rng.uniform(0.2, 1.0)).astype(int)
+    t_max = float(times.max())
+    grid = np.unique(rng.uniform(0.0, 1.2 * t_max + 0.1, size=int(rng.integers(2, 40))))
+    grid = np.concatenate([[0.0], grid]) if grid_from_zero else grid[grid > 0]
+    if rng.random() < 0.5:  # coarse values: tied predictions
+        values = np.round(rng.random((n, len(grid))), 1)
+    else:
+        values = np.exp(-np.outer(rng.uniform(0.3, 3.0, size=n), grid))
+    # G = 0.1 gives a weight of exactly the cap, 0.3 and below clip 1/G^2
+    jumps = np.sort(rng.uniform(0.0, t_max, size=6))
+    ghat = StepFunction(jumps, [0.9, 0.6, 0.3, 0.1, 0.07, 0.05])
+    return SurvivalCurves(grid, values), times, events, ghat
+
+
+@pytest.mark.parametrize("block_cells", [None, 64])
+@pytest.mark.parametrize("grid_from_zero", [False, True])
+def test_metrics_equal_reference_loops_exactly(monkeypatch, grid_from_zero, block_cells):
+    if block_cells is not None:  # many narrow blocks in c_index_td
+        monkeypatch.setattr(metrics, "CTD_BLOCK_CELLS", block_cells)
+    rng = np.random.default_rng(17 + grid_from_zero)
+    for _ in range(40):
+        curves, times, events, ghat = _random_case(rng, grid_from_zero)
+        assert np.array_equal(curves.at_own_times(times),
+                              np.diag(curves.at_times(times)))
+        for horizon in (float(np.median(times)), float(times.max()) * 1.01):
+            try:
+                res = c_index_td(curves, times, events, ghat, horizon)
+                got = (res.value, res.n_comparable_pairs, res.n_tied_predictions,
+                       res.n_clipped_weights)
+            except UndefinedMetricError:
+                got = None
+            assert got == _ref_c_index(curves, times, events, ghat, horizon)
+        for t in (float(times.min()), float(np.median(times)), float(times.max())):
+            expected = _ref_scores(curves, times, events, ghat, t)
+            assert brier_score(curves, times, events, ghat, t) == expected[:2]
+            assert binomial_log_likelihood(curves, times, events, ghat, t) == expected[2]
+        _assert_integrals_match_reference(curves, times, events, ghat,
+                                          float(np.quantile(times, 0.8)))
+
+
+def _assert_integrals_match_reference(curves, times, events, ghat, horizon):
+    grid = metrics._integration_grid(times, horizon)
+    scores = np.array([_ref_scores(curves, times, events, ghat, t) for t in grid])
+    for got, column in ((integrated_brier_score(curves, times, events, ghat, horizon), 0),
+                        (integrated_binomial_ll(curves, times, events, ghat, horizon), 2)):
+        want = (scores[0, column] if len(grid) == 1 else
+                np.trapezoid(scores[:, column], grid) / (grid[-1] - grid[0]))
+        assert got == float(want)
+
+
+def test_integrals_match_reference_at_large_n():
+    # a row of (time, subject) values is summed pairwise, as the reference's
+    # one-time mean is; a (subject, time) layout would sum each time sequentially
+    rng = np.random.default_rng(23)
+    n = 9000
+    times = rng.exponential(1.0, size=n)
+    events = (rng.random(n) < 0.6).astype(int)
+    grid = np.linspace(0.01, 3.0, 30)
+    curves = SurvivalCurves(grid, np.exp(-np.outer(rng.uniform(0.3, 3.0, size=n), grid)))
+    ghat = censoring_survival(rng.exponential(1.0, size=300), rng.integers(0, 2, size=300))
+    _assert_integrals_match_reference(curves, times, events, ghat, 1.5)

@@ -176,6 +176,16 @@ def test_config_json_roundtrip():
         TrainingConfig.from_dict({"nodes": 3})
 
 
+def test_model_config_carries_every_model_field():
+    cfg = TrainingConfig(hidden=(7, 5), activation="tanh", conditioning="film", rank=3,
+                         time_embed_dim=6, modulation_hidden=9, batchnorm=True,
+                         dropout=0.25)
+    assert cfg.model_config(4, 2.5) == ModelConfig(
+        input_dim=4, hidden=(7, 5), activation="tanh", conditioning="film", rank=3,
+        time_embed_dim=6, modulation_hidden=9, batchnorm=True, dropout=0.25,
+        time_scale=2.5)
+
+
 # --- train loop -------------------------------------------------------------------
 
 def small_dataset(seed=0, n=120, rate=1.0):
