@@ -192,7 +192,8 @@ def cmd_train(args) -> int:
     _write_manifest(out, "train", cfg.seed, cfg.as_dict(),
                     [args.config, args.train_csv],
                     [out / "checkpoint.json", out / "log.ndjson"], t0)
-    status = "aborted (non-finite loss)" if result.aborted else "completed"
+    status = ("completed" if result.abort_reason is None
+              else f"aborted ({result.abort_reason})")
     print(f"training {status}; best epoch {result.best_epoch} "
           f"(val C_td {result.best_val_ctd}); wall clock {result.wall_clock:.1f}s")
     return 0

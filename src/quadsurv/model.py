@@ -13,11 +13,11 @@ of three heads:
                   subject, so extra time points cost only the small
                   modulation branch.
 
-Each head's per-subject math is written once, in ``HazardModel._forward``
-over autodiff ops.  Training runs it on the parameters, which records the
-graph; evaluation runs it on constant views of the same arrays, which
-records nothing.  ``_eval_shared_times`` is the factorised path for a time
-grid shared by every subject, used for dense curves.
+Each head is written once, in ``HazardModel._forward`` over autodiff ops,
+for per-subject times (the loss) and for a time grid shared by every
+subject (dense curves).  Training runs it on the parameters, which records
+the graph; evaluation runs it on constant views of the same arrays, which
+records nothing.
 """
 
 from __future__ import annotations
@@ -196,11 +196,17 @@ class HazardModel:
         return ad.affine(p["mod.out.W"], p["mod.out.b"], s_hidden)
 
     def _forward(self, p, x, times, training=False, rng=None) -> ad.Tensor:
-        """Log-hazard tensor of shape (batch, n_times) for per-subject times.
+        """Log-hazard tensor of shape (batch, n_times).
 
-        ``x`` is (batch, d) and ``times`` (batch, n_times); entry (i, j) is
-        f(x_i, times[i, j]).  ``p`` maps parameter names to tensors:
+        ``x`` is (batch, d).  ``times`` is either (batch, n_times), entry
+        (i, j) giving f(x_i, times[i, j]), or a 1-d grid of n_times shared by
+        every subject.  ``p`` maps parameter names to tensors:
         ``self.params`` records the graph, ``self._constants()`` does not.
+
+        ``film`` and ``lora`` factorise as f(x_i, t) = a_i . c(t) + bias(t),
+        with a per-subject row a and per-time rows c and bias, so the head and
+        the base products run once per subject and each extra time costs the
+        time branch and one dot product.
         """
         cfg = self.config
         x = np.asarray(x, dtype=np.float64)
@@ -208,67 +214,51 @@ class HazardModel:
         if x.ndim != 2 or x.shape[1] != cfg.input_dim:
             raise ShapeError(
                 f"covariates have shape {x.shape}, expected (batch, {cfg.input_dim})")
-        if times.ndim != 2 or times.shape[0] != x.shape[0]:
+        if times.ndim not in (1, 2) or (times.ndim == 2 and times.shape[0] != x.shape[0]):
             raise ShapeError(
-                f"times have shape {times.shape}, expected ({x.shape[0]}, n)")
-        b, r = times.shape
-        t_flat = times.reshape(-1, 1)
-
+                f"times have shape {times.shape}, expected ({x.shape[0]}, n) or (n,)")
+        b, r = x.shape[0], times.shape[-1]
         if cfg.conditioning == "concat":
+            t_col = np.broadcast_to(times, (b, r)).reshape(-1, 1)
             inp = ad.tensor(np.hstack([np.repeat(x, r, axis=0),
-                                       t_flat / cfg.time_scale]))
-            z = self._backbone(p, inp, training, rng)
-        elif cfg.conditioning == "film":
-            h = self._backbone(p, ad.tensor(x), training, rng)
-            gamma, beta = self._modulation(p, ad.tensor(t_flat))
-            z = ad.add(ad.mul(gamma, ad.tile_rows(h, r)), beta)
+                                       t_col / cfg.time_scale]))
+            f = ad.affine(p["head.W"], p["head.b"], self._backbone(p, inp, training, rng))
+            return ad.reshape(f, (b, r))
+
+        t_col = ad.tensor(times.reshape(-1, 1))
+        h = self._backbone(p, ad.tensor(x), training, rng)
+        w = p["head.W"]
+        if cfg.conditioning == "film":
+            # a_i = h_i * w, c(t) = gamma(t), bias(t) = w . beta(t) + b_head
+            gamma, beta = self._modulation(p, t_col)
+            a, c = ad.mul(h, ad.tile_rows(w, b)), gamma
+            bias = ad.reshape(ad.affine(w, p["head.b"], beta), (-1,))
         else:
-            # lora: base products once per subject, reused at every time
-            h = self._backbone(p, ad.tensor(x), training, rng)
-            wh = ad.affine(p["lora.W"], p["lora.b"], h)
-            vh = ad.linear(p["lora.V"], h)
-            s = self._modulation(p, ad.tensor(t_flat))
-            z = ad.add(ad.tile_rows(wh, r),
-                       ad.linear(p["lora.U"], ad.mul(s, ad.tile_rows(vh, r))))
-        f = ad.affine(p["head.W"], p["head.b"], z)
-        return ad.reshape(f, (b, r))
+            # a_i = [w . (W h_i + b) + b_head, V h_i * (w U)], c(t) = [1, s(t)];
+            # U^T is linear(U, I), exact because every product is with 1 or 0
+            u_t = ad.linear(p["lora.U"], ad.tensor(np.eye(cfg.rank)))
+            q = ad.linear(u_t, w)
+            base = ad.affine(w, p["head.b"], ad.affine(p["lora.W"], p["lora.b"], h))
+            a = ad.concat_cols([base, ad.mul(ad.linear(p["lora.V"], h),
+                                             ad.tile_rows(q, b))])
+            c = ad.concat_cols([ad.tensor(np.ones((t_col.shape[0], 1))),
+                                self._modulation(p, t_col)])
+            bias = None
+        if times.ndim == 1:
+            return ad.linear(c, a) if bias is None else ad.affine(c, bias, a)
+        f = ad.reduce_sum(ad.mul(ad.tile_rows(a, r), c), axis=1)
+        return ad.reshape(f if bias is None else ad.add(f, bias), (b, r))
 
     def forward_times_recorded(self, x, times, training=False, rng=None):
         """Recorded (differentiable) log-hazards; see ``_forward``."""
         return self._forward(self.params, x, times, training, rng)
 
     def log_hazard_matrix(self, x, times):
-        """Evaluation-mode f(x_i, times[i, j]) as an array of shape times.shape."""
+        """Evaluation-mode log-hazards as a (batch, n_times) array; see ``_forward``."""
         return self._forward(self._constants(), x, times).values
 
     def _eval_backbone(self, x):
         return self._backbone(self._constants(), ad.tensor(x), False, None).values
-
-    def _eval_shared_times(self, h, x, times_1d):
-        """Evaluation-mode log-hazards when every subject shares one time
-        vector: (n, T).  The time branch runs once per time point and the
-        per-subject combination collapses to a single small matmul, which
-        is what makes dense grid evaluation cheap for the cached heads.
-        """
-        cfg = self.config
-        times_1d = np.asarray(times_1d, dtype=np.float64)
-        p = self._constants()
-        if cfg.conditioning == "concat":
-            times = np.broadcast_to(times_1d, (x.shape[0], len(times_1d)))
-            return self._forward(p, x, times).values
-        w_head = p["head.W"].values[0]
-        b_head = p["head.b"].values[0]
-        t_col = ad.tensor(times_1d[:, None])
-        if cfg.conditioning == "film":
-            gamma, beta = (m.values for m in self._modulation(p, t_col))
-            base = beta @ w_head + b_head
-            return (h * w_head) @ gamma.T + base[None, :]
-        s = self._modulation(p, t_col).values
-        wh = h @ p["lora.W"].values.T + p["lora.b"].values
-        vh = h @ p["lora.V"].values.T
-        base = wh @ w_head + b_head
-        q = w_head @ p["lora.U"].values
-        return base[:, None] + (vh * q) @ s.T
 
     # --- public scalar / curve API --------------------------------------
 
@@ -280,7 +270,7 @@ class HazardModel:
         return float(self.log_hazard_matrix(x, np.array([[t]]))[0, 0])
 
     def log_hazard_at_nodes(self, x, t: float, rule: QuadratureRule) -> np.ndarray:
-        """f(x, t * tau_k) for every quadrature node, using the cached path."""
+        """f(x, t * tau_k) for every quadrature node, in one forward pass."""
         x = np.asarray(x, dtype=np.float64).reshape(1, -1)
         if not math.isfinite(t) or t < 0:
             raise ContractError(f"time must be finite and nonnegative, got {t}")
@@ -311,16 +301,16 @@ class HazardModel:
             raise ContractError("grid must be ascending and nonnegative")
         n, g = x.shape[0], len(grid)
         k = rule.order
-        h = None if self.config.conditioning == "concat" else self._eval_backbone(x)
         budget = 1_500_000 if self.config.conditioning == "concat" else 30_000_000
         chunk = max(1, budget // max(n * k, 1))
 
-        lam = np.exp(self._eval_shared_times(h, x, grid))
+        p = self._constants()
+        lam = np.exp(self._forward(p, x, grid).values)
         cumhaz = np.empty((n, g))
         for start in range(0, g, chunk):
             block = grid[start:start + chunk]
             node_times = np.outer(block, rule.unit_nodes).reshape(-1)
-            f = self._eval_shared_times(h, x, node_times)
+            f = self._forward(p, x, node_times).values
             lam_nodes = np.exp(f).reshape(n, len(block), k)
             cumhaz[:, start:start + chunk] = (block / 2.0) * (lam_nodes @ rule.weights)
         surv = np.exp(-cumhaz)

@@ -59,32 +59,18 @@ def legendre_eval(k: int, x: float) -> tuple[float, float]:
 
     Uses the three-term recurrence together with the derivative
     recurrence P'_n = P'_{n-2} + (2n - 1) P_{n-1}, which stays finite at
-    the interval endpoints.
+    the interval endpoints.  Computes in the precision of ``x``, so a
+    longdouble ``x`` gives longdouble results.
     """
     if k < 0:
         raise ContractError("Legendre degree must be nonnegative")
     if k == 0:
         return 1.0, 0.0
-    p_prev, p = 1.0, float(x)
+    p_prev, p = 1.0, x
     dp_prev, dp = 0.0, 1.0
     for n in range(2, k + 1):
         p_next = ((2 * n - 1) * x * p - (n - 1) * p_prev) / n
         dp_next = dp_prev + (2 * n - 1) * p
-        p_prev, p = p, p_next
-        dp_prev, dp = dp, dp_next
-    return p, dp
-
-
-def _legendre_eval_hp(k, x):
-    one = _LD(1.0)
-    if k == 0:
-        return one, _LD(0.0)
-    p_prev, p = one, x
-    dp_prev, dp = _LD(0.0), one
-    for n in range(2, k + 1):
-        n_ld = _LD(n)
-        p_next = ((2 * n_ld - 1) * x * p - (n_ld - 1) * p_prev) / n_ld
-        dp_next = dp_prev + (2 * n_ld - 1) * p
         p_prev, p = p, p_next
         dp_prev, dp = dp, dp_next
     return p, dp
@@ -109,12 +95,12 @@ def build_rule(k: int) -> QuadratureRule:
         # seed for the (j+1)-th largest root
         x = _LD(math.cos(math.pi * (j + 0.75) / (k + 0.5)))
         for _ in range(100):
-            p, dp = _legendre_eval_hp(k, x)
+            p, dp = legendre_eval(k, x)
             delta = -p / dp
             x = x + delta
             if abs(float(delta)) < 1e-18:
                 break
-        _, dp = _legendre_eval_hp(k, x)
+        _, dp = legendre_eval(k, x)
         w = 2 / ((1 - x * x) * dp * dp)
         nodes[k - 1 - j] = x
         nodes[j] = -x
@@ -123,7 +109,7 @@ def build_rule(k: int) -> QuadratureRule:
     if k % 2 == 1:
         mid = k // 2
         nodes[mid] = _LD(0.0)
-        _, dp = _legendre_eval_hp(k, _LD(0.0))
+        _, dp = legendre_eval(k, _LD(0.0))
         weights[mid] = 2 / (dp * dp)
 
     unit_hp = (nodes + 1) / 2

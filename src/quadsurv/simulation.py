@@ -182,7 +182,7 @@ def make_truth(family: str) -> GroundTruth:
                 log_pdf = np.where(
                     t > 0,
                     k * np.log(beta) + (k - 1.0) * np.log(np.maximum(t, 1e-300))
-                    - beta * t - _lgamma(k),
+                    - beta * t - gammaln(k),
                     -np.inf)
             return np.exp(log_pdf) / surv_g(t, x)
 
@@ -242,10 +242,6 @@ def make_truth(family: str) -> GroundTruth:
         return np.exp(-_ch(t, x))
 
     return GroundTruth(family=family, lam=lam, cumhaz=cumhaz, surv=surv)
-
-
-def _lgamma(k):
-    return gammaln(k)
 
 
 # --- samplers -----------------------------------------------------------------

@@ -112,6 +112,17 @@ def _loss_times(times, rule: QuadratureRule) -> np.ndarray:
     return all_times
 
 
+def _loss_terms(f_all: ad.Tensor, rule: QuadratureRule, times, events):
+    """Per-subject event term and K-node cumulative hazard from the (b, K+1)
+    log-hazards at ``_loss_times``."""
+    b, k = len(times), rule.order
+    f_obs = ad.reshape(ad.slice_cols(f_all, 0, 1), (b,))
+    lam_nodes = ad.elementwise("exp", ad.slice_cols(f_all, 1, k + 1))
+    w_const = np.broadcast_to(rule.weights, (b, k))
+    cumhaz = ad.mul(ad.reduce_sum(ad.mul(lam_nodes, w_const), axis=1), times / 2.0)
+    return ad.mul(f_obs, events), cumhaz
+
+
 def nll_loss(model: HazardModel, rule: QuadratureRule, x, times, events,
              training: bool = False, rng=None) -> ad.Tensor:
     """Recorded scalar loss for one batch (graph-attached).
@@ -126,17 +137,12 @@ def nll_loss(model: HazardModel, rule: QuadratureRule, x, times, events,
     b = len(times)
     if b == 0:
         raise ContractError("nll_loss requires a nonempty batch")
-    k = rule.order
     try:
         f_all = model.forward_times_recorded(x, _loss_times(times, rule),
                                              training=training, rng=rng)
-        f_obs = ad.reshape(ad.slice_cols(f_all, 0, 1), (b,))
-        lam_nodes = ad.elementwise("exp", ad.slice_cols(f_all, 1, k + 1))
+        event_term, cumhaz = _loss_terms(f_all, rule, times, events)
     except NumericDomainError as err:
-        raise _locate_subject(err, b, k + 1) from None
-    w_const = np.broadcast_to(rule.weights, (b, k))
-    cumhaz = ad.mul(ad.reduce_sum(ad.mul(lam_nodes, w_const), axis=1), times / 2.0)
-    event_term = ad.mul(f_obs, events)
+        raise _locate_subject(err, b, rule.order + 1) from None
     return ad.mean(ad.sub(cumhaz, event_term))
 
 
@@ -160,15 +166,14 @@ def nll_terms(model: HazardModel, rule: QuadratureRule, x, times, events):
     """Evaluation-mode per-subject terms (event term, cumulative hazard).
 
     The per-subject loss is ``cumhaz - event_term``; its batch mean equals
-    ``nll_loss`` evaluated out of training mode.
+    ``nll_loss`` evaluated out of training mode.  A hazard that overflows at
+    a node raises ``NumericDomainError``, as in ``nll_loss``.
     """
-    x = np.asarray(x, dtype=np.float64)
     times = np.asarray(times, dtype=np.float64)
     events = np.asarray(events, dtype=np.float64)
-    f_all = model.log_hazard_matrix(x, _loss_times(times, rule))
-    lam = np.exp(f_all[:, 1:])
-    cumhaz = times / 2.0 * (lam @ rule.weights)
-    return events * f_all[:, 0], cumhaz
+    f_all = ad.tensor(model.log_hazard_matrix(x, _loss_times(times, rule)))
+    event_term, cumhaz = _loss_terms(f_all, rule, times, events)
+    return event_term.values, cumhaz.values
 
 
 # --- optimizer ----------------------------------------------------------------
@@ -228,14 +233,19 @@ class TrainResult:
     best_epoch: int = -1
     best_val_ctd: float | None = None
     clip_events: int = 0
-    aborted: bool = False
+    abort_reason: str | None = None
     wall_clock: float = 0.0
 
 
 def _validation_metrics(model, rule, scaler_x_val, val_times, val_events,
                         ghat, grid):
-    event_term, cumhaz = nll_terms(model, rule, scaler_x_val, val_times, val_events)
-    val_loss = float(np.mean(cumhaz - event_term))
+    try:
+        event_term, cumhaz = nll_terms(model, rule, scaler_x_val, val_times, val_events)
+        val_loss = float(np.mean(cumhaz - event_term))
+    except NumericDomainError:
+        # a hazard that overflows at a validation node: the loss is infinite
+        # and the epoch is still scored by C_td
+        val_loss = math.inf
     _, _, surv = model.curves(scaler_x_val, grid, rule)
     curves = mx.SurvivalCurves(grid, surv)
     horizon = grid[-1] * (1.0 + 1e-12)
@@ -284,7 +294,7 @@ def train(config: TrainingConfig, dataset: SurvivalData) -> TrainResult:
     log = []
     best = {"key": None, "state": None, "epoch": -1, "ctd": None, "ibs": None}
     clip_events = 0
-    aborted = False
+    abort_reason = None
 
     for epoch in range(config.max_epochs):
         lr = cosine_lr(config.learning_rate, epoch, config.max_epochs)
@@ -304,11 +314,11 @@ def train(config: TrainingConfig, dataset: SurvivalData) -> TrainResult:
                     epoch_clips += 1
                 adamw_step(model.params, grads, opt_state, lr, config.weight_decay)
                 epoch_loss += float(loss.values) * len(batch)
-        except NumericDomainError:
-            aborted = True
+        except NumericDomainError as err:
+            abort_reason = str(err)
         clip_events += epoch_clips
 
-        if aborted:
+        if abort_reason is not None:
             break
         train_loss = epoch_loss / n
         val_loss, val_ctd, val_ibs = _validation_metrics(
@@ -340,7 +350,7 @@ def train(config: TrainingConfig, dataset: SurvivalData) -> TrainResult:
 
     return TrainResult(model=model, scaler=scaler, rule=rule, config=config,
                        log=log, best_epoch=best["epoch"], best_val_ctd=best["ctd"],
-                       clip_events=clip_events, aborted=aborted,
+                       clip_events=clip_events, abort_reason=abort_reason,
                        wall_clock=_time.perf_counter() - t_start)
 
 

@@ -122,6 +122,14 @@ def test_train_seed_reproducible_checkpoint_bytes(tmp_path, sim_dir):
     assert (a / "checkpoint.json").read_bytes() == (b / "checkpoint.json").read_bytes()
 
 
+def test_train_abort_reason_reaches_stdout(tmp_path, sim_dir, capsys):
+    cfg = write_config(tmp_path, learning_rate=1e6, grad_clip=1e12, max_epochs=5)
+    assert run(["train", cfg, sim_dir / "train.csv", "--out", tmp_path / "r"]) == 0
+    out = capsys.readouterr().out
+    assert "training aborted (non-finite loss (subject index " in out
+    assert "non-finite values produced by" in out
+
+
 def test_train_rejects_invalid_k(tmp_path, sim_dir):
     cfg = write_config(tmp_path, k_nodes=0)
     assert run(["train", cfg, sim_dir / "train.csv", "--out", tmp_path / "r"]) == 2

@@ -1,14 +1,18 @@
 """Hazard-network heads: values, caching, equivalences, serialization."""
 
+import copy
 import math
 import time
+import types
 
 import numpy as np
 import pytest
 
+from quadsurv import autodiff as ad
 from quadsurv.errors import ContractError, ShapeError
 from quadsurv.model import FittedModel, HazardModel, ModelConfig
 from quadsurv.quadrature import build_rule, cumulative_hazard
+from quadsurv.training import nll_loss
 
 
 def make_model(conditioning, input_dim=2, hidden=(8, 8), activation="tanh",
@@ -59,6 +63,12 @@ def test_wrong_covariate_dimension_raises():
     model = make_model("lora")
     with pytest.raises(ShapeError):
         model.log_hazard(np.array([1.0, 2.0, 3.0]), 1.0)
+    x = np.zeros((3, 2))
+    for cond in ("concat", "film", "lora"):
+        model = make_model(cond)
+        for times in (np.ones((4, 5)), np.ones((3, 5, 2))):
+            with pytest.raises(ShapeError):
+                model.log_hazard_matrix(x, times)
 
 
 def test_hazard_strictly_positive():
@@ -234,6 +244,67 @@ def test_grid_curves_match_per_subject_forward(cond, batchnorm):
     lam_nodes = np.exp(model.log_hazard_matrix(x, node_times)).reshape(n, 9, -1)
     np.testing.assert_allclose(cumhaz, grid / 2.0 * (lam_nodes @ rule.weights),
                                rtol=1e-12, atol=0.0)
+
+
+def _reference_forward(model, p, x, times, training=False, rng=None):
+    """The unfactorised per-subject film and low-rank heads: tile h, form
+    gamma * h + beta or W h + b + U (s * V h), then apply the head affine."""
+    b, r = times.shape
+    h = model._backbone(p, ad.tensor(x), training, rng)
+    t_col = ad.tensor(times.reshape(-1, 1))
+    if model.config.conditioning == "film":
+        gamma, beta = model._modulation(p, t_col)
+        z = ad.add(ad.mul(gamma, ad.tile_rows(h, r)), beta)
+    else:
+        wh = ad.affine(p["lora.W"], p["lora.b"], h)
+        vh = ad.linear(p["lora.V"], h)
+        s = model._modulation(p, t_col)
+        z = ad.add(ad.tile_rows(wh, r),
+                   ad.linear(p["lora.U"], ad.mul(s, ad.tile_rows(vh, r))))
+    return ad.reshape(ad.affine(p["head.W"], p["head.b"], z), (b, r))
+
+
+def _assert_rel_close(actual, expected, rtol=1e-12):
+    scale = max(float(np.max(np.abs(expected))), np.finfo(float).tiny)
+    assert float(np.max(np.abs(actual - expected))) <= rtol * scale
+
+
+@pytest.mark.parametrize("size", [((8, 8), 3), ((64, 64), 8)], ids=["8x8", "64x64"])
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+@pytest.mark.parametrize("batchnorm", [False, True])
+@pytest.mark.parametrize("cond", ["film", "lora"])
+def test_factorised_forward_matches_unfactorised_reference(cond, batchnorm,
+                                                           dropout, size):
+    """Recorded forward, loss and every gradient equal the unfactorised heads."""
+    hidden, rank = size
+    model = make_model(cond, hidden=hidden, rank=rank, batchnorm=batchnorm,
+                       dropout=dropout, time_scale=2.5, seed=15)
+    _randomize(model, seed=45)
+    reference = copy.deepcopy(model)
+    reference._forward = types.MethodType(_reference_forward, reference)
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(10, 2))
+    times = rng.uniform(0.05, 3.0, size=10)
+    events = rng.integers(0, 2, size=10)
+    rule = build_rule(5)
+
+    f, f_ref = (m.forward_times_recorded(x, np.outer(times, rule.unit_nodes),
+                                         training=True, rng=np.random.default_rng(7))
+                for m in (model, reference))
+    _assert_rel_close(f.values, f_ref.values)
+    losses = []
+    for m in (model, reference):
+        loss = nll_loss(m, rule, x, times, events, training=True,
+                        rng=np.random.default_rng(8))
+        ad.zero_grad(m.params.values())
+        ad.backward(loss)
+        losses.append(loss.values)
+    _assert_rel_close(losses[0], losses[1])
+    # one scale for the whole gradient: with batchnorm the gradient of each
+    # pre-normalisation bias is zero up to round-off in both forms
+    grads, grads_ref = (np.concatenate([p.grad.ravel() for p in m.params.values()])
+                        for m in (model, reference))
+    _assert_rel_close(grads, grads_ref)
 
 
 # --- cost asymmetry ----------------------------------------------------------------------

@@ -7,16 +7,17 @@ import numpy as np
 import pytest
 
 from quadsurv import autodiff as ad
+from quadsurv import metrics as mx
 from quadsurv.data import SurvivalData
-from quadsurv.errors import DegenerateDataError, UsageError
+from quadsurv.errors import DegenerateDataError, NumericDomainError, UsageError
 from quadsurv.model import FittedModel, HazardModel, ModelConfig
 from quadsurv.quadrature import build_rule
 from quadsurv.simulation import (GeneratorSpec, evaluation_grid, generate,
                                  l1_error)
 from quadsurv.training import (AdamWState, SearchSpace, TrainingConfig,
-                               TrialRecord, adamw_step, cosine_lr, nll_loss,
-                               nll_terms, random_search, train,
-                               trial_sort_key, write_log_ndjson)
+                               TrialRecord, _validation_metrics, adamw_step,
+                               cosine_lr, nll_loss, nll_terms, random_search,
+                               train, trial_sort_key, write_log_ndjson)
 
 SIM_KW = dict(hidden=(32, 32), activation="tanh", conditioning="lora",
               learning_rate=1e-2, weight_decay=1e-6, batch_size=256,
@@ -114,6 +115,22 @@ def test_nonfinite_loss_identifies_subject():
         nll_loss(model, build_rule(4), x, np.array([1.0, 1.0, 1.0]),
                  np.array([1, 1, 1]))
     assert "subject index 2" in str(exc.value)
+
+
+def test_overflowing_validation_hazard_gives_infinite_val_loss():
+    model = constant_hazard_model(1.0)
+    model.params["head.b"].values[:] = 800.0  # exp overflows at every node
+    x = np.zeros((6, 1))
+    times = np.linspace(0.5, 3.0, 6)
+    events = np.array([1, 0, 1, 1, 0, 1])
+    rule = build_rule(4)
+    with pytest.raises(NumericDomainError):
+        nll_terms(model, rule, x, times, events)
+    ghat = mx.censoring_survival(times, events)
+    with np.errstate(over="ignore"):
+        val_loss, _, _ = _validation_metrics(model, rule, x, times, events, ghat,
+                                             np.linspace(0.5, 2.5, 8))
+    assert val_loss == math.inf
 
 
 # --- optimizer -----------------------------------------------------------------
@@ -231,7 +248,9 @@ def test_divergence_aborts_with_last_finite_snapshot():
                          activation="tanh", k_nodes=5, learning_rate=1e6,
                          grad_clip=1e12, val_grid_points=16)
     res = train(cfg, small_dataset())
-    assert res.aborted
+    # the reason keeps the subject that _locate_subject found and the op
+    assert res.abort_reason.startswith("non-finite loss (subject index ")
+    assert "non-finite values produced by" in res.abort_reason
     for arr in res.model.state_arrays().values():
         assert np.all(np.isfinite(arr))
 
