@@ -6,6 +6,16 @@ tiling, reductions, batch normalization and dropout.  Graphs are recorded
 dynamically per call (node times depend on each subject's observed time)
 and traversed once in reverse topological order by ``backward``.
 
+Each op records, for every parent, a pure rule ``g -> gradient for that
+parent`` given the gradient ``g`` of the op's output.  A rule returns an
+array of its parent's shape; it does not look at ``requires_grad`` or
+``.grad``, and it may return a read-only view or the very array it was
+given.  ``backward`` alone allocates and sums gradients: it runs only the
+rules of parents that require a gradient, assigns a parent's first
+contribution and adds later ones out of place, releases each intermediate
+gradient once the node's rules have run, and stores gradients only on
+leaves, in arrays the leaf owns.
+
 There is no broadcasting beyond the row-wise bias of ``affine``; any other
 shape disagreement raises ``ShapeError``.
 """
@@ -24,16 +34,17 @@ _INV_SQRT2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 
 
 class Tensor:
-    """A float64 array with an optional gradient and a backward rule."""
+    """A float64 array with an optional gradient and one backward rule per
+    parent."""
 
-    __slots__ = ("values", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("values", "requires_grad", "grad", "_parents", "_rules")
 
-    def __init__(self, values, requires_grad=False, _parents=(), _backward=None):
+    def __init__(self, values, requires_grad=False, _parents=(), _rules=()):
         self.values = np.asarray(values, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = _parents
-        self._backward = _backward
+        self._rules = _rules
 
     @property
     def shape(self):
@@ -62,11 +73,13 @@ def _guard_finite(arr, op):
             positions=bad[:16].tolist(), shape=tuple(np.shape(arr)))
 
 
-def _make(values, parents, backward_fn, op):
+def _make(values, op, *edges):
+    """Output tensor of ``op``; each edge is (parent, rule for that parent)."""
     _guard_finite(values, op)
+    parents = tuple(parent for parent, _ in edges)
     if any(p.requires_grad for p in parents):
-        return Tensor(values, requires_grad=True, _parents=tuple(parents),
-                      _backward=backward_fn)
+        return Tensor(values, requires_grad=True, _parents=parents,
+                      _rules=tuple(rule for _, rule in edges))
     return Tensor(values, requires_grad=False)
 
 
@@ -89,16 +102,10 @@ def affine(w: Tensor, b: Tensor, h: Tensor) -> Tensor:
             f"affine shape mismatch: W {w.values.shape}, b {b.values.shape}, "
             f"h {h.values.shape}")
     out = h.values @ w.values.T + b.values
-
-    def backward_fn(g):
-        if w.requires_grad:
-            w.grad += g.T @ h.values
-        if b.requires_grad:
-            b.grad += g.sum(axis=0)
-        if h.requires_grad:
-            h.grad += g @ w.values
-
-    return _make(out, (w, b, h), backward_fn, "affine")
+    return _make(out, "affine",
+                 (w, lambda g: g.T @ h.values),
+                 (b, lambda g: g.sum(axis=0)),
+                 (h, lambda g: g @ w.values))
 
 
 def linear(w: Tensor, h: Tensor) -> Tensor:
@@ -107,14 +114,9 @@ def linear(w: Tensor, h: Tensor) -> Tensor:
         raise ShapeError(
             f"linear shape mismatch: W {w.values.shape}, h {h.values.shape}")
     out = h.values @ w.values.T
-
-    def backward_fn(g):
-        if w.requires_grad:
-            w.grad += g.T @ h.values
-        if h.requires_grad:
-            h.grad += g @ w.values
-
-    return _make(out, (w, h), backward_fn, "linear")
+    return _make(out, "linear",
+                 (w, lambda g: g.T @ h.values),
+                 (h, lambda g: g @ w.values))
 
 
 def _gelu(x):
@@ -155,49 +157,22 @@ def elementwise(kind: str, x: Tensor) -> Tensor:
         raise ContractError(f"unknown elementwise kind {kind!r}") from None
     with np.errstate(over="ignore", invalid="ignore"):
         out = fwd(x.values)
-
-    def backward_fn(g):
-        if x.requires_grad:
-            x.grad += g * dfwd(x.values, out)
-
-    return _make(out, (x,), backward_fn, f"elementwise[{kind}]")
+    return _make(out, f"elementwise[{kind}]",
+                 (x, lambda g: g * dfwd(x.values, out)))
 
 
-def add(a: Tensor, b) -> Tensor:
-    if isinstance(b, Tensor):
-        if a.values.shape != b.values.shape:
-            raise ShapeError(f"add: {a.values.shape} != {b.values.shape}")
-        out = a.values + b.values
-
-        def backward_fn(g):
-            if a.requires_grad:
-                a.grad += g
-            if b.requires_grad:
-                b.grad += g
-
-        return _make(out, (a, b), backward_fn, "add")
-    c = _as_const(b, a.values.shape, "add")
-    out = a.values + c
-
-    def backward_const(g):
-        if a.requires_grad:
-            a.grad += g
-
-    return _make(out, (a,), backward_const, "add")
+def add(a: Tensor, b: Tensor) -> Tensor:
+    if a.values.shape != b.values.shape:
+        raise ShapeError(f"add: {a.values.shape} != {b.values.shape}")
+    out = a.values + b.values
+    return _make(out, "add", (a, lambda g: g), (b, lambda g: g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     if a.values.shape != b.values.shape:
         raise ShapeError(f"sub: {a.values.shape} != {b.values.shape}")
     out = a.values - b.values
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a.grad += g
-        if b.requires_grad:
-            b.grad -= g
-
-    return _make(out, (a, b), backward_fn, "sub")
+    return _make(out, "sub", (a, lambda g: g), (b, lambda g: -g))
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -206,33 +181,17 @@ def mul(a: Tensor, b) -> Tensor:
         if a.values.shape != b.values.shape:
             raise ShapeError(f"mul: {a.values.shape} != {b.values.shape}")
         out = a.values * b.values
-
-        def backward_fn(g):
-            if a.requires_grad:
-                a.grad += g * b.values
-            if b.requires_grad:
-                b.grad += g * a.values
-
-        return _make(out, (a, b), backward_fn, "mul")
+        return _make(out, "mul",
+                     (a, lambda g: g * b.values),
+                     (b, lambda g: g * a.values))
     c = _as_const(b, a.values.shape, "mul")
-    out = a.values * c
-
-    def backward_const(g):
-        if a.requires_grad:
-            a.grad += g * c
-
-    return _make(out, (a,), backward_const, "mul")
+    return _make(a.values * c, "mul", (a, lambda g: g * c))
 
 
-def scale(x: Tensor, c: float) -> Tensor:
-    c = float(c)
-    out = x.values * c
-
-    def backward_fn(g):
-        if x.requires_grad:
-            x.grad += g * c
-
-    return _make(out, (x,), backward_fn, "scale")
+def _column_block(start, stop):
+    # a contiguous copy: a strided view would reach the parent's own rules
+    # (a matmul in ``affine``) and change how they sum
+    return lambda g: np.ascontiguousarray(g[:, start:stop])
 
 
 def concat_cols(tensors) -> Tensor:
@@ -241,16 +200,12 @@ def concat_cols(tensors) -> Tensor:
     if len(rows) != 1 or any(t.values.ndim != 2 for t in tensors):
         raise ShapeError("concat_cols expects 2-d tensors with equal row counts")
     out = np.concatenate([t.values for t in tensors], axis=1)
-    widths = [t.values.shape[1] for t in tensors]
-
-    def backward_fn(g):
-        start = 0
-        for t, w in zip(tensors, widths):
-            if t.requires_grad:
-                t.grad += g[:, start:start + w]
-            start += w
-
-    return _make(out, tuple(tensors), backward_fn, "concat_cols")
+    edges, start = [], 0
+    for t in tensors:
+        stop = start + t.values.shape[1]
+        edges.append((t, _column_block(start, stop)))
+        start = stop
+    return _make(out, "concat_cols", *edges)
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
@@ -259,21 +214,17 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
             f"slice_cols[{start}:{stop}] invalid for shape {x.values.shape}")
     out = x.values[:, start:stop].copy()
 
-    def backward_fn(g):
-        if x.requires_grad:
-            x.grad[:, start:stop] += g
+    def grad_x(g):
+        gx = np.zeros_like(x.values)
+        gx[:, start:stop] = g
+        return gx
 
-    return _make(out, (x,), backward_fn, "slice_cols")
+    return _make(out, "slice_cols", (x, grad_x))
 
 
 def reshape(x: Tensor, shape) -> Tensor:
     out = x.values.reshape(shape)
-
-    def backward_fn(g):
-        if x.requires_grad:
-            x.grad += g.reshape(x.values.shape)
-
-    return _make(out, (x,), backward_fn, "reshape")
+    return _make(out, "reshape", (x, lambda g: g.reshape(x.values.shape)))
 
 
 def tile_rows(x: Tensor, reps: int) -> Tensor:
@@ -286,12 +237,8 @@ def tile_rows(x: Tensor, reps: int) -> Tensor:
         raise ShapeError(f"tile_rows expects a 2-d tensor, got {x.values.shape}")
     out = np.repeat(x.values, reps, axis=0)
     n, d = x.values.shape
-
-    def backward_fn(g):
-        if x.requires_grad:
-            x.grad += g.reshape(n, reps, d).sum(axis=1)
-
-    return _make(out, (x,), backward_fn, "tile_rows")
+    return _make(out, "tile_rows",
+                 (x, lambda g: g.reshape(n, reps, d).sum(axis=1)))
 
 
 def reduce_sum(x: Tensor, axis=None) -> Tensor:
@@ -299,28 +246,16 @@ def reduce_sum(x: Tensor, axis=None) -> Tensor:
         raise ContractError(f"reduce_sum axis must be None, 0 or 1, got {axis}")
     out = x.values.sum(axis=axis)
 
-    def backward_fn(g):
-        if not x.requires_grad:
-            return
-        if axis is None:
-            x.grad += g
-        elif axis == 0:
-            x.grad += np.broadcast_to(g, x.values.shape)
-        else:
-            x.grad += g[:, None]
+    def grad_x(g):
+        return np.broadcast_to(g[:, None] if axis == 1 else g, x.values.shape)
 
-    return _make(out, (x,), backward_fn, "reduce_sum")
+    return _make(out, "reduce_sum", (x, grad_x))
 
 
 def mean(x: Tensor) -> Tensor:
     n = x.values.size
     out = x.values.mean()
-
-    def backward_fn(g):
-        if x.requires_grad:
-            x.grad += g / n
-
-    return _make(out, (x,), backward_fn, "mean")
+    return _make(out, "mean", (x, lambda g: np.broadcast_to(g / n, x.values.shape)))
 
 
 def dropout(x: Tensor, rate: float, rng, training: bool) -> Tensor:
@@ -363,32 +298,22 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
         unbiased = var * (n / max(n - 1, 1))
         state.running_var = (1 - m) * state.running_var + m * unbiased
 
-        def backward_train(g):
-            if gamma.requires_grad:
-                gamma.grad += (g * xhat).sum(axis=0)
-            if beta.requires_grad:
-                beta.grad += g.sum(axis=0)
-            if x.requires_grad:
-                gx = g * gamma.values
-                x.grad += inv_std / n * (
-                    n * gx - gx.sum(axis=0) - xhat * (gx * xhat).sum(axis=0))
+        def grad_x(g):
+            gx = g * gamma.values
+            return inv_std / n * (
+                n * gx - gx.sum(axis=0) - xhat * (gx * xhat).sum(axis=0))
+    else:
+        inv_std = 1.0 / np.sqrt(state.running_var + eps)
+        xhat = (x.values - state.running_mean) * inv_std
 
-        out = gamma.values * xhat + beta.values
-        return _make(out, (x, gamma, beta), backward_train, "batch_norm")
+        def grad_x(g):
+            return g * gamma.values * inv_std
 
-    inv_std = 1.0 / np.sqrt(state.running_var + eps)
-    xhat = (x.values - state.running_mean) * inv_std
     out = gamma.values * xhat + beta.values
-
-    def backward_eval(g):
-        if gamma.requires_grad:
-            gamma.grad += (g * xhat).sum(axis=0)
-        if beta.requires_grad:
-            beta.grad += g.sum(axis=0)
-        if x.requires_grad:
-            x.grad += g * gamma.values * inv_std
-
-    return _make(out, (x, gamma, beta), backward_eval, "batch_norm")
+    return _make(out, "batch_norm",
+                 (x, grad_x),
+                 (gamma, lambda g: (g * xhat).sum(axis=0)),
+                 (beta, lambda g: g.sum(axis=0)))
 
 
 def toposort(root: Tensor) -> list[Tensor]:
@@ -411,25 +336,50 @@ def toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
-def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(leaf) into every requires_grad leaf.
+def _accumulate_leaf(leaf: Tensor, g) -> None:
+    # the first contribution is copied: a rule may hand back a read-only
+    # broadcast view, or the array it gave another parent, and callers such
+    # as gradient clipping scale ``leaf.grad`` in place
+    leaf.grad = np.array(g) if leaf.grad is None else leaf.grad + g
 
-    Gradients add across multiple uses of a tensor, so cached embeddings
-    reused at every quadrature node receive their full contribution.
+
+def backward(loss: Tensor) -> None:
+    """Add d(loss)/d(leaf) to the ``.grad`` of every requires_grad leaf.
+
+    This is the only code that allocates and sums gradients.  Nodes are
+    visited in reverse topological order, so a node's gradient is complete
+    before its rules run; the rule of a parent that does not require a
+    gradient is not run.  A node's first incoming gradient is kept as given
+    and later ones are added out of place, so contributions from several
+    uses of a tensor (a cached embedding reused at every quadrature node)
+    sum in the order the graph recorded them.  An intermediate gradient is
+    released once its rules have run and is never stored on the node; only
+    leaves keep ``.grad``, and a leaf whose ``.grad`` is already set (no
+    ``zero_grad`` in between) adds this call's gradient to it.
     """
     if loss.values.shape != ():
         raise ContractError(
             f"backward requires a scalar loss, got shape {loss.values.shape}")
     if not loss.requires_grad:
         return
-    order = toposort(loss)
-    for node in order:
-        if node.requires_grad and node.grad is None:
-            node.grad = np.zeros_like(node.values)
-    loss.grad = np.ones_like(loss.values)
-    for node in reversed(order):
-        if node._backward is not None:
-            node._backward(node.grad)
+    seed = np.ones_like(loss.values)
+    if not loss._parents:
+        _accumulate_leaf(loss, seed)
+        return
+    pending = {id(loss): seed}
+    for node in reversed(toposort(loss)):
+        if not node._parents:
+            continue
+        g = pending.pop(id(node))
+        for parent, rule in zip(node._parents, node._rules):
+            if not parent.requires_grad:
+                continue
+            if not parent._parents:
+                _accumulate_leaf(parent, rule(g))
+            elif id(parent) in pending:
+                pending[id(parent)] = pending[id(parent)] + rule(g)
+            else:
+                pending[id(parent)] = rule(g)
 
 
 def zero_grad(params) -> None:

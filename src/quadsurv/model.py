@@ -156,9 +156,6 @@ class HazardModel:
         self.params["head.W"] = ad.parameter(_glorot(rng, 1, d_h))
         self.params["head.b"] = ad.parameter(np.zeros(1))
 
-    def trainable(self) -> dict[str, ad.Tensor]:
-        return self.params
-
     # --- forward ----------------------------------------------------------
 
     def _constants(self) -> dict[str, ad.Tensor]:

@@ -354,14 +354,21 @@ def train(config: TrainingConfig, dataset: SurvivalData) -> TrainResult:
                        wall_clock=_time.perf_counter() - t_start)
 
 
+def _json_number(value):
+    """JSON has no infinity or NaN: a non-finite float is written as null
+    (an infinite ``val_loss`` when a validation hazard overflows)."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def write_log_ndjson(log, path) -> None:
-    """Persist per-epoch records as newline-delimited JSON."""
+    """Persist per-epoch records as newline-delimited strict JSON."""
+    keys = ("epoch", "train_loss", "val_loss", "val_ctd", "lr")
     with open(path, "w") as fh:
         for rec in log:
-            fh.write(json.dumps({
-                "epoch": rec["epoch"], "train_loss": rec["train_loss"],
-                "val_loss": rec["val_loss"], "val_ctd": rec["val_ctd"],
-                "lr": rec["lr"]}) + "\n")
+            fh.write(json.dumps({k: _json_number(rec[k]) for k in keys},
+                                allow_nan=False) + "\n")
 
 
 # --- random hyperparameter search -------------------------------------------------

@@ -7,6 +7,9 @@ import pytest
 
 from quadsurv import autodiff as ad
 from quadsurv.errors import ContractError, NumericDomainError, ShapeError
+from quadsurv.model import CONDITIONING_KINDS, HazardModel, ModelConfig
+from quadsurv.quadrature import build_rule
+from quadsurv.training import clip_gradients, nll_loss
 
 
 def fd_grad(fn, arr, step=1e-6):
@@ -166,7 +169,7 @@ def test_slice_and_concat_roundtrip_gradients():
 
 def test_mul_const_and_scale():
     x = ad.parameter([[2.0, 3.0]])
-    y = ad.scale(ad.mul(x, np.array([[10.0, 100.0]])), 0.5)
+    y = ad.mul(ad.mul(x, np.array([[10.0, 100.0]])), np.full((1, 2), 0.5))
     np.testing.assert_array_equal(y.values, [[10.0, 150.0]])
     ad.backward(ad.reduce_sum(y))
     np.testing.assert_array_equal(x.grad, [[5.0, 50.0]])
@@ -197,6 +200,114 @@ def test_toposort_visits_each_node_once():
     ad.backward(loss)
     expected = 2 * (1 - math.tanh(1.0) ** 2)
     assert abs(x.grad[0] - expected) < 1e-14
+
+
+def _batch_norm_eval(x, gamma, beta):
+    state = ad.BatchNormState(3)
+    state.running_mean = np.array([0.3, -0.2, 0.1])
+    state.running_var = np.array([0.5, 2.0, 1.3])
+    return ad.batch_norm(x, gamma, beta, state, training=False)
+
+
+# op -> (shapes of its tensor arguments, the op on those arguments)
+FD_CASES = {
+    "linear": (((3, 4), (5, 4)), ad.linear),
+    "sub": (((4, 3), (4, 3)), ad.sub),
+    "mul": (((4, 3), (4, 3)), ad.mul),
+    "reshape": (((4, 3),), lambda x: ad.reshape(x, (2, 6))),
+    "reduce_sum_axis0": (((4, 3),), lambda x: ad.reduce_sum(x, axis=0)),
+    "batch_norm_eval": (((6, 3), (3,), (3,)), _batch_norm_eval),
+}
+
+
+@pytest.mark.parametrize("op", FD_CASES)
+def test_op_gradients_match_fd(op):
+    shapes, fn = FD_CASES[op]
+    rng = np.random.default_rng(12)
+    args = [ad.parameter(rng.uniform(-1.5, 1.5, size=s)) for s in shapes]
+    out_shape = fn(*args).values.shape
+    # fixed random weights make the loss sensitive to where each entry lands
+    weights = rng.uniform(0.5, 2.0, size=out_shape)
+
+    def run():
+        return ad.reduce_sum(ad.mul(ad.elementwise("tanh", fn(*args)), weights))
+
+    ad.zero_grad(args)
+    ad.backward(run())
+    for p in args:
+        assert_grads_close(p.grad, fd_grad(lambda: float(run().values), p.values))
+
+
+# --- gradient accumulation policy ------------------------------------------------
+
+def reference_backward(loss):
+    """Gradients by the accumulation policy the per-op rules replaced: a zero
+    array for every recorded node, then ``+=`` of each rule's contribution."""
+    order = ad.toposort(loss)
+    grads = {id(node): np.zeros_like(node.values)
+             for node in order if node.requires_grad}
+    grads[id(loss)] = np.ones_like(loss.values)
+    for node in reversed(order):
+        for parent, rule in zip(node._parents, node._rules):
+            if parent.requires_grad:
+                grads[id(parent)] += rule(grads[id(node)])
+    return grads
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+@pytest.mark.parametrize("batchnorm", [False, True])
+@pytest.mark.parametrize("head", CONDITIONING_KINDS)
+def test_backward_equals_reference_policy_on_nll_loss(head, batchnorm, dropout):
+    cfg = ModelConfig(input_dim=3, hidden=(16, 16), conditioning=head, rank=4,
+                      time_embed_dim=6, modulation_hidden=8, batchnorm=batchnorm,
+                      dropout=dropout, time_scale=2.0)
+    model = HazardModel(cfg, np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    for p in model.params.values():
+        p.values = rng.normal(0.0, 0.5, size=p.values.shape)
+    x = rng.normal(size=(64, 3))
+    times = rng.uniform(0.05, 4.0, size=64)
+    events = rng.integers(0, 2, size=64)
+    loss = nll_loss(model, build_rule(7), x, times, events, training=True,
+                    rng=np.random.default_rng(2))
+    ad.zero_grad(model.params.values())
+    ad.backward(loss)
+    expected = reference_backward(loss)
+    for name, p in model.params.items():
+        assert np.array_equal(p.grad, expected[id(p)]), name
+
+
+def test_repeated_backward_adds_one_gradient_per_call():
+    x = ad.parameter([0.4])
+    inner = ad.elementwise("tanh", ad.elementwise("exp", x))
+    loss = ad.reduce_sum(inner)
+    ad.backward(loss)
+    once = x.grad.copy()
+    ad.backward(loss)
+    np.testing.assert_array_equal(x.grad, 2.0 * once)
+    assert inner.grad is None and loss.grad is None
+
+
+def test_leaf_gradients_own_their_memory():
+    a = ad.parameter(np.ones((2, 3)))
+    b = ad.parameter(np.full((2, 3), 2.0))
+    c = ad.parameter(np.arange(4.0).reshape(2, 2))
+    d = ad.parameter(np.arange(5.0))
+    # a and b receive one array from add; c's and d's rules return broadcasts
+    loss = ad.add(ad.add(ad.reduce_sum(ad.reduce_sum(ad.add(a, b), axis=0)),
+                         ad.reduce_sum(ad.reduce_sum(c, axis=0))),
+                  ad.mean(d))
+    ad.backward(loss)
+    leaves = [a, b, c, d]
+    for i, p in enumerate(leaves):
+        assert p.grad.flags.writeable and p.grad.flags.owndata
+        assert not any(np.shares_memory(p.grad, q.grad) for q in leaves[i + 1:])
+    before = [p.grad.copy() for p in leaves]
+    grads = {str(i): p.grad for i, p in enumerate(leaves)}
+    norm = math.sqrt(sum(float(np.sum(g * g)) for g in before))
+    assert clip_gradients(grads, 0.5)
+    for p, g in zip(leaves, before):
+        np.testing.assert_array_equal(p.grad, g * (0.5 / norm))
 
 
 # --- batch norm and dropout -----------------------------------------------------

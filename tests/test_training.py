@@ -279,6 +279,25 @@ def test_write_log_ndjson_schema(tmp_path):
     assert set(rec) == {"epoch", "train_loss", "val_loss", "val_ctd", "lr"}
 
 
+def test_log_ndjson_is_strict_json(tmp_path):
+    log = [{"epoch": 0, "train_loss": 2.5, "val_loss": math.inf, "val_ctd": None,
+            "lr": 0.01, "val_ibs": 0.2, "clipped_steps": 0},
+           {"epoch": 1, "train_loss": 1.5, "val_loss": 1.25, "val_ctd": 0.625,
+            "lr": 0.005, "val_ibs": 0.1, "clipped_steps": 1}]
+    path = tmp_path / "log.ndjson"
+    write_log_ndjson(log, path)
+
+    def reject(token):
+        raise AssertionError(f"{token} is not JSON")
+
+    recs = [json.loads(line, parse_constant=reject)
+            for line in path.read_text().splitlines()]
+    assert [set(r) for r in recs] == [{"epoch", "train_loss", "val_loss",
+                                       "val_ctd", "lr"}] * 2
+    assert recs[0]["val_loss"] is None and recs[0]["train_loss"] == 2.5
+    assert recs[1]["val_loss"] == 1.25 and recs[1]["val_ctd"] == 0.625
+
+
 @pytest.mark.slow
 def test_scenario1_hazard_recovery():
     """Known red: the 0.10 bound is unattainable on this generator.
