@@ -17,8 +17,7 @@ from .model import FittedModel, HazardModel, ModelConfig
 from .quadrature import (QuadratureRule, build_rule, cumulative_hazard,
                          error_bound, legendre_eval)
 from .simulation import (GeneratorSpec, GroundTruth, calibrate_censoring,
-                         generate, l1_error, make_truth, marginalized_curves,
-                         sample_event_time)
+                         generate, l1_error, make_truth, marginalized_curves)
 from .training import (SearchSpace, TrainingConfig, TrainResult, adamw_step,
                        nll_loss, nll_terms, random_search, train)
 
@@ -33,7 +32,7 @@ __all__ = [
     "QuadratureRule", "build_rule", "cumulative_hazard", "error_bound",
     "legendre_eval",
     "GeneratorSpec", "GroundTruth", "calibrate_censoring", "generate",
-    "l1_error", "make_truth", "marginalized_curves", "sample_event_time",
+    "l1_error", "make_truth", "marginalized_curves",
     "SearchSpace", "TrainingConfig", "TrainResult", "adamw_step", "nll_loss",
     "nll_terms", "random_search", "train",
 ]

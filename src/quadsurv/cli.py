@@ -132,8 +132,6 @@ def _write_rows(path: Path, header, rows) -> None:
 
 def cmd_simulate(args) -> int:
     t0 = _time.perf_counter()
-    if args.family not in FAMILIES:
-        raise UsageError(f"unknown family {args.family!r}; choose from {FAMILIES}")
     spec = GeneratorSpec(family=args.family, n_train=args.n_train,
                          n_test=args.n_test, censoring_target=args.censoring)
     sim = generate(spec, args.seed)
@@ -149,7 +147,7 @@ def cmd_simulate(args) -> int:
         lam, ch, s = sim.truth.curves_matrix(xs, grid)
         rows.extend((t, l, c, sv, name) for t, l, c, sv
                     in zip(grid, lam[0], ch[0], s[0]))
-    mlam, mch, ms = marginalized_curves(sim.truth, sim.train.x[:, 0], grid)
+    mlam, mch, ms = marginalized_curves(sim.truth, sim.train.x, grid)
     rows.extend((t, l, c, sv, "marginal") for t, l, c, sv in zip(grid, mlam, mch, ms))
     _write_rows(out / "truth.csv", ["t", "lambda", "cumhaz", "survival", "group"], rows)
 
@@ -246,12 +244,21 @@ def cmd_predict(args) -> int:
     return 0
 
 
+def _int_list(text: str, flag: str) -> list:
+    """Comma-separated integers, at least one."""
+    try:
+        values = [int(v) for v in text.split(",") if v]
+    except ValueError:
+        values = []
+    if not values:
+        raise UsageError(f"{flag} takes one or more comma-separated integers, got {text!r}")
+    return values
+
+
 def cmd_sweep_nodes(args) -> int:
     t0 = _time.perf_counter()
-    k_list = [int(k) for k in args.k_list.split(",") if k]
-    seeds = [int(s) for s in args.seeds.split(",") if s]
-    if not k_list:
-        raise UsageError("--k-list must name at least one node count")
+    k_list = _int_list(args.k_list, "--k-list")
+    seeds = _int_list(args.seeds, "--seeds")
     base = dict(SIM_PROTOCOL)
     if args.epochs is not None:
         base["max_epochs"] = args.epochs
@@ -263,8 +270,7 @@ def cmd_sweep_nodes(args) -> int:
             result = train(cfg, sim.train)
             fitted = FittedModel(result.model, result.rule, result.scaler)
             grid = evaluation_grid(sim.train.time)
-            err_s, err_ch, err_h = l1_error(fitted, sim.truth,
-                                            sim.test.x[:, 0], grid)
+            err_s, err_ch, err_h = l1_error(fitted, sim.truth, sim.test.x, grid)
             return (args.family, k, seed, err_s, err_ch, err_h,
                     result.wall_clock, "")
         except QuadSurvError as err:

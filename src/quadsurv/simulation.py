@@ -1,5 +1,10 @@
 """Synthetic survival data generators with analytic ground truth.
 
+Each family is one ``Family`` entry of ``TABLE``: a covariate link to its
+parameters, hazard and cumulative hazard in closed form, an exact event-time
+draw, and where needed a survival closed form or a fixed censoring mechanism.
+``GroundTruth`` and the samplers only read that entry.
+
 Six parametric families share a one-dimensional covariate x ~ Uniform(-1, 1)
 whose effect enters each distribution parameter through a cubic polynomial
 and an exponential link (the log-normal location is the one parameter taken
@@ -16,6 +21,7 @@ Exponential(rate 1/3) respectively) and independent of the covariate.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,12 +32,7 @@ from .errors import CalibrationError, ContractError, UsageError
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
-PARAMETRIC_FAMILIES = ("exponential", "weibull", "gamma", "gompertz",
-                       "lognormal", "loglogistic")
-SCENARIO_FAMILIES = ("scenario1", "scenario2")
-FAMILIES = PARAMETRIC_FAMILIES + SCENARIO_FAMILIES
-
-# cubic-link coefficients per family parameter
+# cubic-link coefficients per family parameter, in the order of the params
 COEFFICIENTS = {
     "exponential": {"rate": [-1.0, 0.5, -0.3, 0.15]},
     "weibull": {"shape": [0.3, 0.2, -0.1, 0.05], "scale": [2.0, 0.3, -0.2, 0.1]},
@@ -68,24 +69,198 @@ def _poly_min_on_unit_interval(w):
     return float(min(vals))
 
 
+def _safe_pow(t, p):
+    """t ** p with the t = 0, p = 0 corner pinned to 1 (x = 0 group)."""
+    t = np.asarray(t, dtype=np.float64)
+    p = np.asarray(p, dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        out = np.where((t == 0) & (p == 0), 1.0,
+                       np.where(t == 0, 0.0, t ** p))
+    return out
+
+
+# --- the family table -----------------------------------------------------------
+
+@dataclass(frozen=True)
+class Family:
+    """One simulation family; ``params`` below is the tuple ``link(x)`` returns."""
+
+    link: Callable            # x -> params
+    hazard: Callable          # (t, *params) -> lambda(t | x)
+    cumhaz: Callable          # (t, *params) -> Lambda(t | x)
+    draw: Callable            # (rng, *params) -> one event time per x
+    surv: Callable | None = None    # (t, *params), where exp(-Lambda) loses accuracy
+    censor: Callable | None = None  # (rng, n), a scenario's fixed mechanism
+
+    def survival(self, t, *params):
+        if self.surv is not None:
+            return self.surv(t, *params)
+        return np.exp(-self.cumhaz(t, *params))
+
+
+def _exp_link(family):
+    """Every parameter is exp of its cubic link."""
+    coeffs = list(COEFFICIENTS[family].values())
+    return lambda x: tuple(np.exp(poly_link(x, w)) for w in coeffs)
+
+
+def _gamma_surv(t, k, beta):
+    return gammaincc(k, beta * np.asarray(t, float))
+
+
+def _gamma_hazard(t, k, beta):
+    t = np.asarray(t, dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        log_pdf = np.where(
+            t > 0,
+            k * np.log(beta) + (k - 1.0) * np.log(np.maximum(t, 1e-300))
+            - beta * t - gammaln(k),
+            -np.inf)
+    return np.exp(log_pdf) / _gamma_surv(t, k, beta)
+
+
+def _lognormal_surv(t, mu, sigma):
+    t = np.asarray(t, dtype=np.float64)
+    z = (np.log(np.maximum(t, 1e-300)) - mu) / sigma
+    return np.where(t > 0, ndtr(-z), 1.0)
+
+
+def _lognormal_hazard(t, mu, sigma):
+    t = np.asarray(t, dtype=np.float64)
+    z = (np.log(np.maximum(t, 1e-300)) - mu) / sigma
+    pdf = np.where(
+        t > 0,
+        np.exp(-0.5 * z * z) / (np.maximum(t, 1e-300) * sigma * _SQRT2PI),
+        0.0)
+    return pdf / _lognormal_surv(t, mu, sigma)
+
+
+def _loglogistic_hazard(t, alpha, beta):
+    t = np.asarray(t, dtype=np.float64)
+    u = _safe_pow(t / alpha, beta)
+    return (beta / alpha) * _safe_pow(t / alpha, beta - 1.0) / (1.0 + u)
+
+
+def _scenario2_cumhaz(t, sign):
+    t = np.asarray(t, float)
+    return t + 0.2 * sign * (1.0 - np.cos(4.0 * t))
+
+
+def _scenario2_draw(rng, sign, tol: float = 1e-10):
+    """Solve Lambda(t | x) = E by bisection; Lambda is strictly increasing
+    because the hazard stays >= 0.2."""
+    e = rng.exponential(1.0, size=np.shape(sign))
+    lo = np.zeros_like(e)
+    hi = e + 1.4  # Lambda(t) >= t - 0.4, so Lambda(e + 1.4) > e everywhere
+    while np.max(hi - lo) > tol:
+        mid = 0.5 * (lo + hi)
+        too_low = _scenario2_cumhaz(mid, sign) < e
+        lo = np.where(too_low, mid, lo)
+        hi = np.where(too_low, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _neg_log(surv):
+    return lambda t, *params: -np.log(surv(t, *params))
+
+
+TABLE = {
+    "exponential": Family(
+        link=_exp_link("exponential"),
+        hazard=lambda t, rate: np.broadcast_to(
+            rate, np.broadcast_shapes(np.shape(t), np.shape(rate))).copy(),
+        cumhaz=lambda t, rate: rate * np.asarray(t, float),
+        draw=lambda rng, rate: rng.exponential(1.0, size=np.shape(rate)) / rate),
+    "weibull": Family(
+        link=_exp_link("weibull"),
+        hazard=lambda t, k, scale: (k / scale) * _safe_pow(
+            np.asarray(t, float) / scale, k - 1.0),
+        cumhaz=lambda t, k, scale: _safe_pow(np.asarray(t, float) / scale, k),
+        draw=lambda rng, k, scale:
+            scale * rng.exponential(1.0, size=np.shape(k)) ** (1.0 / k)),
+    "gamma": Family(
+        link=_exp_link("gamma"),
+        hazard=_gamma_hazard,
+        cumhaz=_neg_log(_gamma_surv),
+        surv=_gamma_surv,
+        draw=lambda rng, k, beta: rng.gamma(shape=k) / beta),
+    "gompertz": Family(
+        link=_exp_link("gompertz"),
+        hazard=lambda t, b: b * np.exp(GOMPERTZ_C * np.asarray(t, float)),
+        cumhaz=lambda t, b: (b / GOMPERTZ_C) * np.expm1(GOMPERTZ_C * np.asarray(t, float)),
+        draw=lambda rng, b: np.log1p(
+            GOMPERTZ_C * rng.exponential(1.0, size=np.shape(b)) / b) / GOMPERTZ_C),
+    "lognormal": Family(
+        link=lambda x: (poly_link(x, COEFFICIENTS["lognormal"]["mu"]),
+                        np.exp(poly_link(x, COEFFICIENTS["lognormal"]["sigma"]))),
+        hazard=_lognormal_hazard,
+        cumhaz=_neg_log(_lognormal_surv),
+        surv=_lognormal_surv,
+        draw=lambda rng, mu, sigma:
+            np.exp(mu + sigma * rng.standard_normal(np.shape(mu)))),
+    "loglogistic": Family(
+        link=_exp_link("loglogistic"),
+        hazard=_loglogistic_hazard,
+        cumhaz=lambda t, alpha, beta: np.log1p(
+            _safe_pow(np.asarray(t, float) / alpha, beta)),
+        draw=lambda rng, alpha, beta:
+            alpha * (1.0 / rng.random(np.shape(alpha)) - 1.0) ** (-1.0 / beta)),
+    "scenario1": Family(
+        link=lambda x: (x,),
+        hazard=lambda t, x: (1.0 + x) * _safe_pow(t, x),
+        cumhaz=lambda t, x: _safe_pow(t, 1.0 + x),
+        draw=lambda rng, x: rng.exponential(1.0, size=np.shape(x)) ** (1.0 / (1.0 + x)),
+        censor=lambda rng, n: rng.uniform(0.0, 2.0, size=n)),
+    "scenario2": Family(
+        link=lambda x: (1.0 - 2.0 * x,),
+        hazard=lambda t, sign: 1.0 + 0.8 * sign * np.sin(4.0 * np.asarray(t, float)),
+        cumhaz=_scenario2_cumhaz,
+        draw=_scenario2_draw,
+        censor=lambda rng, n: rng.exponential(1.0 / SCENARIO2_CENSOR_RATE, size=n)),
+}
+FAMILIES = tuple(TABLE)
+# the scenarios are the families with a fixed censoring mechanism
+SCENARIO_FAMILIES = tuple(name for name, f in TABLE.items() if f.censor is not None)
+PARAMETRIC_FAMILIES = tuple(name for name in TABLE if name not in SCENARIO_FAMILIES)
+
+
 @dataclass(frozen=True)
 class GroundTruth:
-    """Closed-form hazard, cumulative hazard and survival, vectorized in t, x."""
+    """Closed-form hazard, cumulative hazard and survival of one family.
+
+    ``lam``, ``cumhaz`` and ``surv`` take covariate values that broadcast
+    against ``t``.  ``curves_matrix`` takes (n,) or (n, d) covariates and
+    returns three (n, G) matrices; the one-covariate families read column 0.
+    """
 
     family: str
-    lam: callable = field(repr=False)
-    cumhaz: callable = field(repr=False)
-    surv: callable = field(repr=False)
+    entry: Family = field(repr=False)
+
+    def lam(self, t, x):
+        return self.entry.hazard(t, *self.entry.link(x))
+
+    def cumhaz(self, t, x):
+        return self.entry.cumhaz(t, *self.entry.link(x))
+
+    def surv(self, t, x):
+        return self.entry.survival(t, *self.entry.link(x))
 
     def curves_matrix(self, xs, grid):
-        xs = np.asarray(xs, dtype=np.float64).reshape(-1)
-        grid = np.asarray(grid, dtype=np.float64)
-        xx = xs[:, None]
-        tt = grid[None, :]
-        return self.lam(tt, xx), self.cumhaz(tt, xx), self.surv(tt, xx)
+        f = self.entry
+        xs = np.asarray(xs, dtype=np.float64)
+        params = f.link((xs[:, 0] if xs.ndim == 2 else xs.reshape(-1))[:, None])
+        tt = np.asarray(grid, dtype=np.float64)[None, :]
+        return f.hazard(tt, *params), f.cumhaz(tt, *params), f.survival(tt, *params)
 
     def survival_matrix(self, xs, grid):
         return self.curves_matrix(xs, grid)[2]
+
+
+def make_truth(family: str) -> GroundTruth:
+    """Closed-form conditional functions for any supported family."""
+    if family not in TABLE:
+        raise UsageError(f"unknown family {family!r}; choose from {FAMILIES}")
+    return GroundTruth(family, TABLE[family])
 
 
 @dataclass
@@ -102,146 +277,15 @@ class GeneratorSpec:
             # the rejection sampler assumes shape >= 1 on the covariate range
             if math.exp(_poly_min_on_unit_interval(COEFFICIENTS["gamma"]["shape"])) < 1.0:
                 raise UsageError("gamma shape drops below 1 on [-1, 1]")
+        if min(self.n_train, self.n_test) < 1:
+            raise UsageError(
+                f"n_train and n_test must be >= 1, got {self.n_train}, {self.n_test}")
         if not 0.0 <= self.censoring_target < 1.0:
             raise UsageError("censoring target must be in [0, 1)")
 
     @property
     def is_scenario(self):
         return self.family in SCENARIO_FAMILIES
-
-
-# --- closed forms -------------------------------------------------------------
-
-def scenario_truth(family: str) -> GroundTruth:
-    """Ground truth for the two node-study scenarios."""
-    if family == "scenario1":
-        return GroundTruth(
-            family="scenario1",
-            lam=lambda t, x: (1.0 + x) * _safe_pow(t, x),
-            cumhaz=lambda t, x: _safe_pow(t, 1.0 + x),
-            surv=lambda t, x: np.exp(-_safe_pow(t, 1.0 + x)),
-        )
-    if family == "scenario2":
-        return GroundTruth(
-            family="scenario2",
-            lam=lambda t, x: 1.0 + 0.8 * (1.0 - 2.0 * x) * np.sin(4.0 * np.asarray(t, float)),
-            cumhaz=lambda t, x: np.asarray(t, float)
-            + 0.2 * (1.0 - 2.0 * x) * (1.0 - np.cos(4.0 * np.asarray(t, float))),
-            surv=lambda t, x: np.exp(
-                -(np.asarray(t, float)
-                  + 0.2 * (1.0 - 2.0 * x) * (1.0 - np.cos(4.0 * np.asarray(t, float))))),
-        )
-    raise UsageError(f"not a scenario family: {family!r}")
-
-
-def _safe_pow(t, p):
-    """t ** p with the t = 0, p = 0 corner pinned to 1 (x = 0 group)."""
-    t = np.asarray(t, dtype=np.float64)
-    p = np.asarray(p, dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        out = np.where((t == 0) & (p == 0), 1.0,
-                       np.where(t == 0, 0.0, t ** p))
-    return out
-
-
-def make_truth(family: str) -> GroundTruth:
-    """Closed-form conditional functions for any supported family."""
-    if family in SCENARIO_FAMILIES:
-        return scenario_truth(family)
-    co = COEFFICIENTS[family]
-    if family == "exponential":
-        def lam(t, x):
-            return np.broadcast_to(np.exp(poly_link(x, co["rate"])),
-                                   np.broadcast_shapes(np.shape(t), np.shape(x))).copy()
-
-        def cumhaz(t, x):
-            return np.exp(poly_link(x, co["rate"])) * np.asarray(t, float)
-    elif family == "weibull":
-        def _params(x):
-            return np.exp(poly_link(x, co["shape"])), np.exp(poly_link(x, co["scale"]))
-
-        def lam(t, x):
-            k, lam_ = _params(x)
-            return (k / lam_) * _safe_pow(np.asarray(t, float) / lam_, k - 1.0)
-
-        def cumhaz(t, x):
-            k, lam_ = _params(x)
-            return _safe_pow(np.asarray(t, float) / lam_, k)
-    elif family == "gamma":
-        def _params(x):
-            return np.exp(poly_link(x, co["shape"])), np.exp(poly_link(x, co["rate"]))
-
-        def surv_g(t, x):
-            k, beta = _params(x)
-            return gammaincc(k, beta * np.asarray(t, float))
-
-        def lam(t, x):
-            k, beta = _params(x)
-            t = np.asarray(t, dtype=np.float64)
-            with np.errstate(divide="ignore"):
-                log_pdf = np.where(
-                    t > 0,
-                    k * np.log(beta) + (k - 1.0) * np.log(np.maximum(t, 1e-300))
-                    - beta * t - gammaln(k),
-                    -np.inf)
-            return np.exp(log_pdf) / surv_g(t, x)
-
-        def cumhaz(t, x):
-            return -np.log(surv_g(t, x))
-
-        return GroundTruth(family=family, lam=lam, cumhaz=cumhaz, surv=surv_g)
-    elif family == "gompertz":
-        def lam(t, x):
-            b = np.exp(poly_link(x, co["base"]))
-            return b * np.exp(GOMPERTZ_C * np.asarray(t, float))
-
-        def cumhaz(t, x):
-            b = np.exp(poly_link(x, co["base"]))
-            return (b / GOMPERTZ_C) * np.expm1(GOMPERTZ_C * np.asarray(t, float))
-    elif family == "lognormal":
-        def _params(x):
-            return poly_link(x, co["mu"]), np.exp(poly_link(x, co["sigma"]))
-
-        def surv_ln(t, x):
-            mu, sigma = _params(x)
-            t = np.asarray(t, dtype=np.float64)
-            z = (np.log(np.maximum(t, 1e-300)) - mu) / sigma
-            return np.where(t > 0, ndtr(-z), 1.0)
-
-        def lam(t, x):
-            mu, sigma = _params(x)
-            t = np.asarray(t, dtype=np.float64)
-            z = (np.log(np.maximum(t, 1e-300)) - mu) / sigma
-            pdf = np.where(
-                t > 0,
-                np.exp(-0.5 * z * z) / (np.maximum(t, 1e-300) * sigma * _SQRT2PI),
-                0.0)
-            return pdf / surv_ln(t, x)
-
-        def cumhaz(t, x):
-            return -np.log(surv_ln(t, x))
-
-        return GroundTruth(family=family, lam=lam, cumhaz=cumhaz, surv=surv_ln)
-    elif family == "loglogistic":
-        def _params(x):
-            return np.exp(poly_link(x, co["alpha"])), np.exp(poly_link(x, co["beta"]))
-
-        def lam(t, x):
-            alpha, beta = _params(x)
-            t = np.asarray(t, dtype=np.float64)
-            u = _safe_pow(t / alpha, beta)
-            return (beta / alpha) * _safe_pow(t / alpha, beta - 1.0) / (1.0 + u)
-
-        def cumhaz(t, x):
-            alpha, beta = _params(x)
-            return np.log1p(_safe_pow(np.asarray(t, float) / alpha, beta))
-    else:  # pragma: no cover
-        raise UsageError(f"unknown family {family!r}")
-
-    def surv(t, x, _ch=cumhaz):
-        return np.exp(-_ch(t, x))
-
-    return GroundTruth(family=family, lam=lam, cumhaz=cumhaz, surv=surv)
 
 
 # --- samplers -----------------------------------------------------------------
@@ -254,62 +298,8 @@ def sample_covariates(spec: GeneratorSpec, n: int, rng) -> np.ndarray:
 
 def sample_event_times(spec: GeneratorSpec, xs, rng) -> np.ndarray:
     """Conditional event-time draws, one per covariate value."""
-    xs = np.asarray(xs, dtype=np.float64)
-    family = spec.family
-    n = len(xs)
-    if family == "exponential":
-        rate = np.exp(poly_link(xs, COEFFICIENTS[family]["rate"]))
-        return rng.exponential(1.0, size=n) / rate
-    if family == "weibull":
-        k = np.exp(poly_link(xs, COEFFICIENTS[family]["shape"]))
-        lam = np.exp(poly_link(xs, COEFFICIENTS[family]["scale"]))
-        return lam * rng.exponential(1.0, size=n) ** (1.0 / k)
-    if family == "gamma":
-        k = np.exp(poly_link(xs, COEFFICIENTS[family]["shape"]))
-        beta = np.exp(poly_link(xs, COEFFICIENTS[family]["rate"]))
-        return rng.gamma(shape=k) / beta
-    if family == "gompertz":
-        b = np.exp(poly_link(xs, COEFFICIENTS[family]["base"]))
-        e = rng.exponential(1.0, size=n)
-        return np.log1p(GOMPERTZ_C * e / b) / GOMPERTZ_C
-    if family == "lognormal":
-        mu = poly_link(xs, COEFFICIENTS[family]["mu"])
-        sigma = np.exp(poly_link(xs, COEFFICIENTS[family]["sigma"]))
-        return np.exp(mu + sigma * rng.standard_normal(n))
-    if family == "loglogistic":
-        alpha = np.exp(poly_link(xs, COEFFICIENTS[family]["alpha"]))
-        beta = np.exp(poly_link(xs, COEFFICIENTS[family]["beta"]))
-        u = rng.random(n)
-        return alpha * (1.0 / u - 1.0) ** (-1.0 / beta)
-    if family == "scenario1":
-        e = rng.exponential(1.0, size=n)
-        return e ** (1.0 / (1.0 + xs))
-    if family == "scenario2":
-        e = rng.exponential(1.0, size=n)
-        return _invert_scenario2(e, xs)
-    raise UsageError(f"unknown family {family!r}")
-
-
-def sample_event_time(spec: GeneratorSpec, x: float, rng) -> float:
-    return float(sample_event_times(spec, np.array([x]), rng)[0])
-
-
-def _invert_scenario2(e, xs, tol: float = 1e-10):
-    """Solve Lambda(t | x) = e by bisection; Lambda is strictly increasing
-    because the hazard stays >= 0.2."""
-    sign = 1.0 - 2.0 * xs
-
-    def cumhaz(t):
-        return t + 0.2 * sign * (1.0 - np.cos(4.0 * t))
-
-    lo = np.zeros_like(e)
-    hi = e + 1.4  # Lambda(t) >= t - 0.4, so Lambda(e + 1.4) > e everywhere
-    while np.max(hi - lo) > tol:
-        mid = 0.5 * (lo + hi)
-        too_low = cumhaz(mid) < e
-        lo = np.where(too_low, mid, lo)
-        hi = np.where(too_low, hi, mid)
-    return 0.5 * (lo + hi)
+    f = TABLE[spec.family]
+    return f.draw(rng, *f.link(np.asarray(xs, dtype=np.float64)))
 
 
 # --- censoring -----------------------------------------------------------------
@@ -356,10 +346,9 @@ def calibrate_censoring(spec: GeneratorSpec, target_rate: float, rng) -> float:
 
 def sample_censoring_times(spec: GeneratorSpec, n: int, bound: float, rng):
     """Censoring draws, independent of the covariates by construction."""
-    if spec.family == "scenario1":
-        return rng.uniform(0.0, 2.0, size=n)
-    if spec.family == "scenario2":
-        return rng.exponential(1.0 / SCENARIO2_CENSOR_RATE, size=n)
+    censor = TABLE[spec.family].censor
+    if censor is not None:
+        return censor(rng, n)
     if math.isinf(bound):
         return np.full(n, np.inf)
     return rng.uniform(0.0, bound, size=n)
@@ -435,7 +424,6 @@ def l1_error(predicted, truth: GroundTruth, xs, grid):
     grid and normalized by the grid span; results are averaged over
     subjects and returned as (survival, cumulative hazard, hazard).
     """
-    xs = np.asarray(xs, dtype=np.float64)
     grid = np.asarray(grid, dtype=np.float64)
     lam_p, ch_p, s_p = predicted.curves_matrix(xs, grid)
     lam_t, ch_t, s_t = truth.curves_matrix(xs, grid)

@@ -71,6 +71,11 @@ class TrainingConfig:
             raise UsageError(f"unknown activation {self.activation!r}")
         if self.weight_decay < 0:
             raise UsageError("weight_decay must be >= 0")
+        if self.grad_clip <= 0:
+            raise UsageError(f"grad_clip must be > 0, got {self.grad_clip}")
+        if self.val_grid_points < 2:
+            raise UsageError(
+                f"val_grid_points must be >= 2, got {self.val_grid_points}")
 
     def model_config(self, input_dim: int, time_scale: float = 1.0) -> ModelConfig:
         """``input_dim`` and ``time_scale`` come from the data, the rest from here.

@@ -1,6 +1,7 @@
 """End-to-end command pipelines, exit codes, reproducibility."""
 
 import csv
+import hashlib
 import json
 import math
 import tempfile
@@ -77,9 +78,55 @@ def test_simulate_roundtrip_exact(tmp_path):
     np.testing.assert_array_equal(loaded.event, sim.train.event)
 
 
-def test_simulate_unknown_family_exit_2(tmp_path, capsys):
-    assert run(["simulate", "cauchy", "--out", tmp_path / "x"]) == 2
-    assert "unknown family" in capsys.readouterr().err
+@pytest.mark.parametrize("argv, message", [
+    (["cauchy"], "unknown family"),
+    (["weibull", "--n-train", -5], "n_train"),
+    (["weibull", "--n-train", 0], "n_train"),
+    (["weibull", "--n-test", 0], "n_test"),
+], ids=["unknown-family", "negative-n-train", "zero-n-train", "zero-n-test"])
+def test_simulate_unknown_family_exit_2(tmp_path, capsys, argv, message):
+    assert run(["simulate", *argv, "--out", tmp_path / "x"]) == 2
+    assert message in capsys.readouterr().err
+
+
+# sha256 of simulate --seed 0 --n-train 60 --n-test 30, taken before the
+# families moved into one table; the bytes must not change with the code
+SIMULATE_SHA256 = {
+    "exponential": ("3a401a9276312e2887d736d0dca5ffb94770f78108500daa8bf3057bb9ed2dd4",
+                    "958b976823bbe95c4f15bd3a28a9df7d51a2028d6e85b4d1176cb2f097343394",
+                    "5b3a102f7cdd140171bfe5482e7d460d1e2914672a869e2c81fb5d299bef4a10"),
+    "weibull": ("30649f694874f7994ead18e5a48a916bb783dccf2cbc15d5269dcdb4663f18f2",
+                "ad4fcfdfef6d0a8014470a7072e0b4cea2a16be01f8a600c64da1ebce1ce6b4a",
+                "2dd75db94256187d0303db66ed454b59661a7e02a2bfc94eedf64ab5c6596e5d"),
+    "gamma": ("046e65bef3d18872e205e4e72ed6a770ff4e0c7e167ab43f47a581c10e9a6926",
+              "4d49c2c54f173d31fc661b664db1268675c85d373c4da9d7aef88560bea8d944",
+              "c406f96ee4347d8560b0f9818b39f7b0df7201602561cc79023272d988a81b77"),
+    "gompertz": ("b8329672c4441a7bff7f71b15ac5c6c992bf7eb3996c9fb4f48523cce75cf1e0",
+                 "e94a210580fc3859da8d9900714ec126f6f3a881a178bf9727bf4ec12a5fe469",
+                 "fbe44f4c8f78e087694bb4b7c7635192d4ae9e3434ffbc084fb691f44b4a0423"),
+    "lognormal": ("5c7c9c6c612dd88f668fc80749b97dcf9c3e055f8e51a345a74384f580704d1b",
+                  "b3f7d7a5cb8f0c2416badb0c5663b8bacd6caf0cfbd49d2de7863a9f09f3a6ca",
+                  "45f517bcc35826828bfd7d622a015b6f7cb1e5243811cee99f342e465e3feba3"),
+    "loglogistic": ("49f0b67e2f85bce8817de79e30e4e138431c8735cb493eb5f8a93c453d48e582",
+                    "e818dfd7c028052dceed59dbfb7f9209d0bb9215e76fe1b5dc91e27c0b57eea8",
+                    "ebe04259a511ffe31e34d838a82b8f197b230a523f58cdd30fbf306d67d243d3"),
+    "scenario1": ("5d86b93b1070a72e3a7fb96766702297ab62c8c5742819672da4c68ce9419ca3",
+                  "11e467d0b92a49ff81d859dfa84b4437046ce406ef3463362e5fb230c516123d",
+                  "c3dc1e041988d29e1d01712cdc764c497c3249db2c0f80bb75038405d8df0126"),
+    "scenario2": ("280d0465663e8f13812da97d1e848bd429af73617efb4cf0e563bd278ef2c2d4",
+                  "173534732a1e18af1b46d5bfb180ba99c3c3aeab73e4a6c53698f04c90a1ebd9",
+                  "2044b281711f62f2c06235e1e4f8c85e75158da4cc2b42b5c1c7d85b0e085d26"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SIMULATE_SHA256))
+def test_simulate_golden_bytes(tmp_path, family):
+    out = tmp_path / family
+    assert run(["simulate", family, "--seed", 0, "--n-train", 60, "--n-test", 30,
+                "--out", out]) == 0
+    digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                    for name in ("train.csv", "test.csv", "truth.csv"))
+    assert digests == SIMULATE_SHA256[family]
 
 
 def test_simulate_truth_groups(tmp_path):
@@ -412,6 +459,18 @@ def test_sweep_single_cell_matches_train_evaluate_composition(tmp_path):
     assert float(row["iae_survival"]) == pytest.approx(err_s, abs=1e-15)
     assert float(row["iae_cumhaz"]) == pytest.approx(err_ch, abs=1e-15)
     assert float(row["iae_hazard"]) == pytest.approx(err_h, abs=1e-15)
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--seeds", "a"), ("--seeds", ""), ("--seeds", "0,1.5"),
+    ("--k-list", "3,x"), ("--k-list", ""),
+])
+def test_sweep_bad_integer_list_exit_2(tmp_path, capsys, flag, value):
+    argv = {"--k-list": "3", "--seeds": "1", flag: value}
+    assert run(["sweep-nodes", "scenario1", *(a for kv in argv.items() for a in kv),
+                "--epochs", 1, "--out", tmp_path / "sweep.csv"]) == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_hpo_single_trial(tmp_path, sim_dir):

@@ -12,8 +12,7 @@ from quadsurv.simulation import (FAMILIES, PARAMETRIC_FAMILIES, GeneratorSpec,
                                  calibrate_censoring, evaluation_grid,
                                  generate, l1_error, make_truth,
                                  marginalized_curves, poly_link,
-                                 sample_covariates, sample_event_time,
-                                 sample_event_times, scenario_truth)
+                                 sample_covariates, sample_event_times)
 
 
 def km_sup_distance(draws, surv_fn, lo_q=0.025, hi_q=0.975):
@@ -80,7 +79,7 @@ def test_scenario1_unit_exponential_group():
 
 
 def test_scenario2_inversion_accuracy():
-    truth = scenario_truth("scenario2")
+    truth = make_truth("scenario2")
     spec = GeneratorSpec(family="scenario2")
     rng = np.random.default_rng(3)
     xs = rng.integers(0, 2, size=500).astype(float)
@@ -97,27 +96,27 @@ def test_scalar_sampler_positive():
     rng = np.random.default_rng(11)
     for family in FAMILIES:
         spec = GeneratorSpec(family=family)
-        t = sample_event_time(spec, 0.5 if family in PARAMETRIC_FAMILIES else 1.0,
-                              rng)
+        x = 0.5 if family in PARAMETRIC_FAMILIES else 1.0
+        (t,) = sample_event_times(spec, np.array([x]), rng)
         assert t > 0
 
 
 # --- scenario closed forms ---------------------------------------------------------
 
 def test_scenario1_hazards_cross_at_half():
-    truth = scenario_truth("scenario1")
+    truth = make_truth("scenario1")
     assert truth.lam(0.5, 0.0) == pytest.approx(1.0)
     assert truth.lam(0.5, 1.0) == pytest.approx(1.0)
 
 
 def test_scenario1_survival_cross_at_one():
-    truth = scenario_truth("scenario1")
+    truth = make_truth("scenario1")
     assert truth.surv(1.0, 0.0) == pytest.approx(math.exp(-1))
     assert truth.surv(1.0, 1.0) == pytest.approx(math.exp(-1))
 
 
 def test_scenario2_hazard_at_zero():
-    truth = scenario_truth("scenario2")
+    truth = make_truth("scenario2")
     assert truth.lam(0.0, 0.0) == pytest.approx(1.0)
     assert truth.lam(0.0, 1.0) == pytest.approx(1.0)
 
@@ -189,6 +188,8 @@ def test_censoring_independent_of_covariates():
 def test_unreachable_family_rejected():
     with pytest.raises(UsageError):
         GeneratorSpec(family="pareto")
+    with pytest.raises(UsageError):
+        make_truth("pareto")
 
 
 # --- dataset assembly ------------------------------------------------------------------
@@ -235,8 +236,19 @@ def test_marginalized_single_subject_equals_conditional():
     np.testing.assert_array_equal(s_m, s_c[0])
 
 
+@pytest.mark.parametrize("family", ["weibull", "scenario2"])
+def test_curves_matrix_reads_column_zero(family):
+    truth = make_truth(family)
+    x = np.array([0.0, 1.0, 0.0]) if family == "scenario2" else np.linspace(-1, 1, 3)
+    grid = np.linspace(0.0, 3.0, 7)
+    wide = np.column_stack([x, np.full_like(x, 9.0), -x])
+    for xs in (x[:, None], wide):
+        for a, b in zip(truth.curves_matrix(xs, grid), truth.curves_matrix(x, grid)):
+            np.testing.assert_array_equal(a, b)
+
+
 def test_marginalized_two_exponentials():
-    truth = scenario_truth("scenario1")
+    truth = make_truth("scenario1")
     # groups have S = e^{-t} and S = e^{-t^2}; at t = 1 both are e^{-1}
     _, _, s_m = marginalized_curves(truth, np.array([0.0, 1.0]), np.array([1.0]))
     assert s_m[0] == pytest.approx(math.exp(-1))

@@ -181,6 +181,11 @@ def test_config_validation():
         TrainingConfig(learning_rate=0.0)
     with pytest.raises(UsageError):
         TrainingConfig(val_fraction=1.0)
+    for grad_clip in (-1.0, 0.0):
+        with pytest.raises(UsageError):
+            TrainingConfig(grad_clip=grad_clip)
+    with pytest.raises(UsageError):
+        TrainingConfig(val_grid_points=1)
     with pytest.raises(UsageError):
         TrainingConfig.from_dict({"lora_position": "backbone.1"})
 
