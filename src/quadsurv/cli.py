@@ -14,6 +14,7 @@ import hashlib
 import json
 import sys
 import time as _time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +115,24 @@ def load_checkpoint(path):
     return FittedModel(model=model, rule=rule, scaler=scaler), columns
 
 
+def _read_json_object(path, parse):
+    """The JSON object in ``path`` and ``parse`` of it.  A file that is not a
+    readable JSON object is a data error, a value ``parse`` rejects a usage
+    error; both name the file."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except (OSError, ValueError) as err:
+        raise IngestionError(f"{path}: not a readable JSON file: {err}") from None
+    if not isinstance(payload, dict):
+        raise IngestionError(
+            f"{path}: expected a JSON object, got {type(payload).__name__}")
+    try:
+        return payload, parse(payload)
+    except (TypeError, ValueError, UsageError) as err:
+        raise UsageError(f"{path}: {err}") from None
+
+
 def _fmt(v) -> str:
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
@@ -162,20 +181,9 @@ def cmd_simulate(args) -> int:
 
 
 def _load_training_config(args) -> TrainingConfig:
-    with open(args.config) as fh:
-        payload = json.load(fh)
-    cfg = TrainingConfig.from_dict(payload)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.k_nodes is not None:
-        overrides["k_nodes"] = args.k_nodes
-    if args.conditioning is not None:
-        overrides["conditioning"] = args.conditioning
-    if overrides:
-        from dataclasses import replace
-        cfg = replace(cfg, **overrides)
-    return cfg
+    _, cfg = _read_json_object(args.config, TrainingConfig.from_dict)
+    flags = {"seed": args.seed, "k_nodes": args.k_nodes, "conditioning": args.conditioning}
+    return replace(cfg, **{name: v for name, v in flags.items() if v is not None})
 
 
 def cmd_train(args) -> int:
@@ -244,21 +252,22 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _int_list(text: str, flag: str) -> list:
-    """Comma-separated integers, at least one."""
+def _int_list(text: str, flag: str, minimum: int) -> list:
+    """Comma-separated integers, at least one, none below ``minimum``."""
     try:
         values = [int(v) for v in text.split(",") if v]
     except ValueError:
         values = []
-    if not values:
-        raise UsageError(f"{flag} takes one or more comma-separated integers, got {text!r}")
+    if not values or min(values) < minimum:
+        raise UsageError(f"{flag} takes one or more comma-separated integers "
+                         f">= {minimum}, got {text!r}")
     return values
 
 
 def cmd_sweep_nodes(args) -> int:
     t0 = _time.perf_counter()
-    k_list = _int_list(args.k_list, "--k-list")
-    seeds = _int_list(args.seeds, "--seeds")
+    k_list = _int_list(args.k_list, "--k-list", 1)
+    seeds = _int_list(args.seeds, "--seeds", 0)
     base = dict(SIM_PROTOCOL)
     if args.epochs is not None:
         base["max_epochs"] = args.epochs
@@ -292,9 +301,7 @@ def cmd_sweep_nodes(args) -> int:
 
 def cmd_hpo(args) -> int:
     t0 = _time.perf_counter()
-    with open(args.space) as fh:
-        space_payload = json.load(fh)
-    space = SearchSpace.from_dict(space_payload)
+    space_payload, space = _read_json_object(args.space, SearchSpace.from_dict)
     data = load_csv(args.train_csv)
     base = TrainingConfig(seed=args.seed, max_epochs=args.epochs)
     best_rec, best_res, records = random_search(

@@ -33,6 +33,7 @@ from .quadrature import QuadratureRule
 
 CONDITIONING_KINDS = ("concat", "film", "lora")
 ACTIVATIONS = ("tanh", "softplus", "gelu", "sigmoid", "relu")
+CHUNK_CELLS = 16_000_000  # bound on one chunk of ``HazardModel.curves``
 
 
 @dataclass
@@ -274,21 +275,15 @@ class HazardModel:
         times = (t * rule.unit_nodes)[None, :]
         return self.log_hazard_matrix(x, times)[0]
 
-    def cumulative_hazard_value(self, x, t: float, rule: QuadratureRule) -> float:
-        if t == 0:
-            return 0.0
-        lam = np.exp(self.log_hazard_at_nodes(x, t, rule))
-        return float(t / 2.0 * (lam @ rule.weights))
-
-    def survival(self, x, t: float, rule: QuadratureRule) -> float:
-        """S(t | x) = exp(-Lambda(t | x)); exactly 1 at t = 0."""
-        return float(math.exp(-self.cumulative_hazard_value(x, t, rule)))
-
     def curves(self, x, grid, rule: QuadratureRule):
         """Hazard, cumulative hazard and survival over a shared time grid.
 
-        Returns three arrays of shape (n_subjects, len(grid)).  Grid points
-        are processed in chunks to bound peak memory.
+        Returns three arrays of shape (n_subjects, len(grid)).  Each chunk of
+        grid points is one forward pass over the points, then their K node
+        times.  A chunk holds at most ``CHUNK_CELLS`` backbone activations
+        (``concat``, n (K+1) sum(hidden) per point) or output cells (``film``
+        and ``lora``, n (K+1) per point), and at least one point, so with
+        very large n memory grows linearly in n.
         """
         x = np.asarray(x, dtype=np.float64)
         grid = np.asarray(grid, dtype=np.float64)
@@ -296,28 +291,21 @@ class HazardModel:
             raise ContractError("grid must be a nonempty 1-d array")
         if np.any(np.diff(grid) < 0) or grid[0] < 0:
             raise ContractError("grid must be ascending and nonnegative")
-        n, g = x.shape[0], len(grid)
-        k = rule.order
-        budget = 1_500_000 if self.config.conditioning == "concat" else 30_000_000
-        chunk = max(1, budget // max(n * k, 1))
+        n, g, k = x.shape[0], len(grid), rule.order
+        width = sum(self.config.hidden) if self.config.conditioning == "concat" else 1
+        chunk = max(1, CHUNK_CELLS // max(n * (k + 1) * width, 1))
 
         p = self._constants()
-        lam = np.exp(self._forward(p, x, grid).values)
-        cumhaz = np.empty((n, g))
+        lam, cumhaz = np.empty((n, g)), np.empty((n, g))
         for start in range(0, g, chunk):
             block = grid[start:start + chunk]
-            node_times = np.outer(block, rule.unit_nodes).reshape(-1)
-            f = self._forward(p, x, node_times).values
-            lam_nodes = np.exp(f).reshape(n, len(block), k)
-            cumhaz[:, start:start + chunk] = (block / 2.0) * (lam_nodes @ rule.weights)
-        surv = np.exp(-cumhaz)
-        return lam, cumhaz, surv
-
-    def hazard_curve(self, x, grid, rule: QuadratureRule):
-        """Per-time (hazard, cumulative hazard, survival) for one subject."""
-        x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-        lam, cumhaz, surv = self.curves(x, grid, rule)
-        return lam[0], cumhaz[0], surv[0]
+            m = len(block)
+            times = np.concatenate([block, np.outer(block, rule.unit_nodes).ravel()])
+            lam_all = np.exp(self._forward(p, x, times).values)
+            lam[:, start:start + m] = lam_all[:, :m]
+            lam_nodes = lam_all[:, m:].reshape(n, m, k)
+            cumhaz[:, start:start + m] = (block / 2.0) * (lam_nodes @ rule.weights)
+        return lam, cumhaz, np.exp(-cumhaz)
 
     # --- serialization ---------------------------------------------------
 

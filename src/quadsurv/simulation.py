@@ -368,6 +368,8 @@ class SimulatedData:
 
 def generate(spec: GeneratorSpec, seed: int) -> SimulatedData:
     """Train/test datasets plus ground truth, reproducible from the seed."""
+    if seed < 0:
+        raise UsageError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     if spec.is_scenario:
         bound = math.nan  # fixed mechanism, no calibration

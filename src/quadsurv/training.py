@@ -65,6 +65,8 @@ class TrainingConfig:
                 f"val_fraction must be in (0, 1), got {self.val_fraction}")
         if self.max_epochs < 1:
             raise UsageError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        if self.seed < 0:
+            raise UsageError(f"seed must be >= 0, got {self.seed}")
         if self.conditioning not in CONDITIONING_KINDS:
             raise UsageError(f"unknown conditioning {self.conditioning!r}")
         if self.activation not in ACTIVATIONS:
@@ -437,22 +439,18 @@ def random_search(space: SearchSpace, trials: int, dataset: SurvivalData,
     configs = [replace(base, seed=int(trial_seeds[i]), **sampled[i])
                for i in range(trials)]
 
-    def run_one(i):
+    records, best_rec, best_res = [], None, None
+    for i, cfg in enumerate(configs):
         try:
-            res = train(configs[i], dataset)
+            res = train(cfg, dataset)
             ibs = res.log[res.best_epoch]["val_ibs"] if res.log else None
-            return TrialRecord(i, configs[i], res.best_val_ctd, ibs), res
+            rec = TrialRecord(i, cfg, res.best_val_ctd, ibs)
         except Exception as err:  # noqa: BLE001 - trial isolation is the contract
-            return TrialRecord(i, configs[i], None, None, error=str(err)), None
-
-    outcomes = [run_one(i) for i in range(trials)]
-
-    records = [rec for rec, _ in outcomes]
-    best_rec, best_res = None, None
-    for rec, res in outcomes:
-        if res is None or rec.val_ctd is None:
+            records.append(TrialRecord(i, cfg, None, None, error=str(err)))
             continue
-        if best_rec is None or trial_sort_key(rec) > trial_sort_key(best_rec):
+        records.append(rec)
+        if rec.val_ctd is not None and (
+                best_rec is None or trial_sort_key(rec) > trial_sort_key(best_rec)):
             best_rec, best_res = rec, res
     if best_res is None:
         raise DegenerateDataError("every search trial failed")

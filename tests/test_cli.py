@@ -83,7 +83,9 @@ def test_simulate_roundtrip_exact(tmp_path):
     (["weibull", "--n-train", -5], "n_train"),
     (["weibull", "--n-train", 0], "n_train"),
     (["weibull", "--n-test", 0], "n_test"),
-], ids=["unknown-family", "negative-n-train", "zero-n-train", "zero-n-test"])
+    (["weibull", "--seed", -1], "seed"),
+], ids=["unknown-family", "negative-n-train", "zero-n-train", "zero-n-test",
+        "negative-seed"])
 def test_simulate_unknown_family_exit_2(tmp_path, capsys, argv, message):
     assert run(["simulate", *argv, "--out", tmp_path / "x"]) == 2
     assert message in capsys.readouterr().err
@@ -180,6 +182,41 @@ def test_train_abort_reason_reaches_stdout(tmp_path, sim_dir, capsys):
 def test_train_rejects_invalid_k(tmp_path, sim_dir):
     cfg = write_config(tmp_path, k_nodes=0)
     assert run(["train", cfg, sim_dir / "train.csv", "--out", tmp_path / "r"]) == 2
+
+
+@pytest.mark.parametrize("command, content, flags, code", [
+    ("train", "{not json", [], 3),
+    ("train", "[1]", [], 3),
+    ("train", None, [], 3),
+    ("train", '{"max_epochs": "3"}', [], 2),
+    ("train", '{"hidden": 5}', [], 2),
+    ("train", '{"seed": -3}', [], 2),
+    ("train", '{"epochs": 3}', [], 2),
+    ("train", json.dumps(TINY_CONFIG), ["--seed", -1], 2),
+    ("hpo", "", [], 3),
+    ("hpo", "[]", [], 3),
+    ("hpo", '{"hidden": 5}', [], 2),
+    ("hpo", '{"width": [8]}', [], 2),
+    ("hpo", "{}", ["--seed", -1], 2),
+], ids=["train-not-json", "train-list", "train-missing", "train-str-epochs",
+        "train-int-hidden", "train-negative-seed", "train-unknown-field",
+        "train-seed-flag", "hpo-empty", "hpo-list", "hpo-int-hidden",
+        "hpo-unknown-field", "hpo-seed-flag"])
+def test_config_and_space_file_exit_codes(tmp_path, sim_dir, capsys, command,
+                                          content, flags, code):
+    """A bad file exits 3 and a bad value 2, naming the file (the flag for
+    ``--seed``), never as an internal error."""
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content)
+    extra = ["--trials", 1, "--epochs", 1] if command == "hpo" else []
+    capsys.readouterr()
+    assert run([command, path, sim_dir / "train.csv", *flags, *extra,
+                "--out", tmp_path / "r"]) == code
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert ("seed must be >= 0" if flags else f"{path}: ") in err
+    assert not (tmp_path / "r").exists()
 
 
 def test_train_all_censored_exit_3(tmp_path):
@@ -462,7 +499,7 @@ def test_sweep_single_cell_matches_train_evaluate_composition(tmp_path):
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--seeds", "a"), ("--seeds", ""), ("--seeds", "0,1.5"),
+    ("--seeds", "a"), ("--seeds", ""), ("--seeds", "0,1.5"), ("--seeds", "0,-1"),
     ("--k-list", "3,x"), ("--k-list", ""),
 ])
 def test_sweep_bad_integer_list_exit_2(tmp_path, capsys, flag, value):

@@ -3,12 +3,14 @@
 import copy
 import math
 import time
+import tracemalloc
 import types
 
 import numpy as np
 import pytest
 
 from quadsurv import autodiff as ad
+from quadsurv import model as model_module
 from quadsurv.errors import ContractError, ShapeError
 from quadsurv.model import FittedModel, HazardModel, ModelConfig
 from quadsurv.quadrature import build_rule, cumulative_hazard
@@ -117,7 +119,8 @@ def _randomize(model, seed):
 def test_survival_at_zero_is_one():
     model = make_model("lora", seed=1)
     rule = build_rule(8)
-    assert model.survival(np.array([0.0, 0.0]), 0.0, rule) == 1.0
+    _, _, surv = model.curves(np.zeros((1, 2)), np.array([0.0]), rule)
+    assert surv[0, 0] == 1.0
 
 
 def test_constant_hazard_survival_closed_form():
@@ -126,9 +129,10 @@ def test_constant_hazard_survival_closed_form():
     c = 0.7
     model.params["head.b"].values[:] = math.log(c)
     rule = build_rule(6)
-    for t in (0.5, 1.0, 2.0):
-        assert abs(model.survival(np.array([1.0, -1.0]), t, rule)
-                   - math.exp(-c * t)) < 1e-12
+    grid = np.array([0.5, 1.0, 2.0])
+    _, _, surv = model.curves(np.array([[1.0, -1.0]]), grid, rule)
+    for j, t in enumerate(grid):
+        assert abs(surv[0, j] - math.exp(-c * t)) < 1e-12
 
 
 def test_neg_log_survival_equals_cumulative_hazard():
@@ -136,26 +140,63 @@ def test_neg_log_survival_equals_cumulative_hazard():
     _randomize(model, seed=21)
     rule = build_rule(9)
     x = np.array([0.5, -0.7])
-    for t in (0.3, 1.1, 2.4):
-        s = model.survival(x, t, rule)
+    grid = np.array([0.3, 1.1, 2.4])
+    _, _, surv = model.curves(x[None, :], grid, rule)
+    for j, t in enumerate(grid):
         lam_int = cumulative_hazard(
             rule, lambda u: math.exp(model.log_hazard(x, float(u))), t)
-        assert abs(-math.log(s) - lam_int) < 1e-12
+        assert abs(-math.log(surv[0, j]) - lam_int) < 1e-12
 
 
 def test_hazard_curve_consistency_and_contract():
     model = make_model("lora", seed=6)
     rule = build_rule(7)
-    x = np.array([0.1, 0.2])
+    x = np.array([[0.1, 0.2]])
     grid = np.linspace(0.0, 3.0, 20)
-    lam, ch, surv = model.hazard_curve(x, grid, rule)
+    lam, ch, surv = (a[0] for a in model.curves(x, grid, rule))
     np.testing.assert_allclose(surv, np.exp(-ch), atol=1e-14)
     assert surv[0] == 1.0
-    # pointwise recomputation oracle
+    # pointwise oracle: the extended-precision K-node sum of exp f
     for j in (3, 11, 19):
-        assert abs(ch[j] - model.cumulative_hazard_value(x, grid[j], rule)) < 1e-12
+        ref = cumulative_hazard(
+            rule, lambda u: math.exp(model.log_hazard(x[0], float(u))), grid[j])
+        assert abs(ch[j] - ref) < 1e-12
     with pytest.raises(ContractError):
-        model.hazard_curve(x, grid[::-1], rule)
+        model.curves(x, grid[::-1], rule)
+
+
+@pytest.mark.parametrize("batchnorm", [False, True])
+@pytest.mark.parametrize("cond", ["concat", "film", "lora"])
+def test_curves_chunks_stitch(cond, batchnorm, monkeypatch):
+    """One grid point per chunk gives the curves of the default chunking."""
+    model = make_model(cond, seed=2, batchnorm=batchnorm, time_scale=1.5)
+    _randomize(model, seed=5)
+    for st in model.bn_states:
+        st.running_var = np.full_like(st.running_var, 1.3)
+    rule = build_rule(15)
+    x = np.random.default_rng(3).normal(size=(40, 2))
+    grid = np.linspace(0.0, 4.0, 30)
+    lam, ch, surv = model.curves(x, grid, rule)
+    monkeypatch.setattr(model_module, "CHUNK_CELLS", 1)
+    lam1, ch1, surv1 = model.curves(x, grid, rule)
+    np.testing.assert_allclose(lam1, lam, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(ch1, ch, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(surv1, surv, rtol=0, atol=1e-13)
+    assert np.all(surv1[:, 0] == 1.0)
+
+
+def test_concat_curves_memory_bounded():
+    """The concat curves of 1000 subjects x 100 points (K = 15) stay in
+    bounded chunks: all grid points in one pass peaked above 1.1 GB."""
+    model = make_model("concat", input_dim=1, hidden=(32, 32))
+    x = np.random.default_rng(0).normal(size=(1000, 1))
+    tracemalloc.start()
+    try:
+        model.curves(x, np.linspace(0.01, 3.0, 100), build_rule(15))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 400e6
 
 
 # --- head equivalence at zero modulation ------------------------------------------------

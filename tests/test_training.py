@@ -187,6 +187,10 @@ def test_config_validation():
     with pytest.raises(UsageError):
         TrainingConfig(val_grid_points=1)
     with pytest.raises(UsageError):
+        TrainingConfig(seed=-1)
+    with pytest.raises(UsageError):
+        TrainingConfig.from_dict({"seed": -3})
+    with pytest.raises(UsageError):
         TrainingConfig.from_dict({"lora_position": "backbone.1"})
 
 
