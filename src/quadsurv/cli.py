@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from . import metrics as mx
 from .data import Standardizer, load_covariates, load_csv, save_csv
-from .errors import IngestionError, QuadSurvError, UsageError
+from .errors import IngestionError, QuadSurvError, ShapeError, UsageError
 from .model import FittedModel, HazardModel
 from .quadrature import build_rule
 from .simulation import (FAMILIES, GeneratorSpec, evaluation_grid, generate,
@@ -90,14 +90,15 @@ def load_checkpoint(path):
     """Rebuild a FittedModel (model, rule, scaler) from a checkpoint file.
 
     A file that is not JSON, lacks a section or an entry, holds a value the
-    model rejects, or standardizes a number of columns other than the
-    model's input width is a data error: the file, not a flag, is at fault.
+    model rejects or a parameter of the wrong shape, or standardizes a
+    number of columns other than the model's input width is a data error:
+    the file, not a flag, is at fault.
     """
     try:
         with open(path) as fh:
             payload = json.load(fh)
         arch = dict(payload["architecture"])
-        rule = build_rule(int(arch.pop("k_nodes")))
+        rule = build_rule(arch.pop("k_nodes"))
         arrays = ad.payload_to_arrays(payload["params"])
         model = HazardModel.from_architecture(arch, arrays)
         scaler = Standardizer.from_dict(payload["standardization"])
@@ -110,15 +111,15 @@ def load_checkpoint(path):
                 f"{model.config.input_dim}")
     except KeyError as err:
         raise IngestionError(f"{path}: checkpoint has no entry {err}") from None
-    except (OSError, TypeError, ValueError, UsageError) as err:
+    except (OSError, TypeError, ValueError, UsageError, ShapeError) as err:
         raise IngestionError(f"{path}: not a valid checkpoint: {err}") from None
     return FittedModel(model=model, rule=rule, scaler=scaler), columns
 
 
 def _read_json_object(path, parse):
     """The JSON object in ``path`` and ``parse`` of it.  A file that is not a
-    readable JSON object is a data error, a value ``parse`` rejects a usage
-    error; both name the file."""
+    readable JSON object is a data error, a key or value ``parse`` rejects a
+    usage error; both name the file."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -129,7 +130,7 @@ def _read_json_object(path, parse):
             f"{path}: expected a JSON object, got {type(payload).__name__}")
     try:
         return payload, parse(payload)
-    except (TypeError, ValueError, UsageError) as err:
+    except UsageError as err:
         raise UsageError(f"{path}: {err}") from None
 
 
@@ -309,9 +310,9 @@ def cmd_hpo(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_checkpoint(out / "checkpoint.json", best_res, data.columns)
-    rows = [(r.index, len(r.config.hidden), r.config.hidden[0],
-             r.config.learning_rate, r.config.weight_decay, r.config.dropout,
-             r.config.batch_size, r.config.batchnorm,
+    rows = [(r.index, len(r.sample["hidden"]), r.sample["hidden"][0],
+             r.sample["learning_rate"], r.sample["weight_decay"],
+             r.sample["dropout"], r.sample["batch_size"], r.sample["batchnorm"],
              "" if r.val_ctd is None else r.val_ctd,
              "" if r.val_ibs is None else r.val_ibs,
              r.error or "") for r in records]

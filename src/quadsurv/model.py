@@ -23,23 +23,78 @@ records nothing.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
+import typing
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ContractError, IngestionError, ShapeError, UsageError
+from .errors import ContractError, ShapeError, UsageError
 from .quadrature import QuadratureRule
 
 CONDITIONING_KINDS = ("concat", "film", "lora")
 ACTIVATIONS = ("tanh", "softplus", "gelu", "sigmoid", "relu")
 CHUNK_CELLS = 16_000_000  # bound on one chunk of ``HazardModel.curves``
+_KINDS = {bool: "true or false", int: "an integer", float: "a finite number",
+          str: "a string"}
+
+
+def _typed(name: str, value, kind):
+    """``value`` converted to the field type ``kind``, or UsageError naming
+    the field.  Ints reject bools and fractions, floats take ints but only
+    finite values, bools take only true and false, ``tuple[X, ...]`` takes a
+    list of X and ``tuple[X, X]`` a list of two."""
+    if typing.get_origin(kind) is tuple:
+        item, *rest = typing.get_args(kind)
+        size = None if rest == [Ellipsis] else 1 + len(rest)
+        if not isinstance(value, (list, tuple)) or size not in (None, len(value)):
+            raise UsageError(f"{name} must be a list{f' of {size}' if size else ''}, "
+                             f"got {value!r}")
+        return tuple(_typed(f"{name}[{i}]", v, item) for i, v in enumerate(value))
+    if kind is bool:
+        ok = isinstance(value, (bool, np.bool_))
+    elif isinstance(value, (bool, np.bool_)):
+        ok = False
+    elif kind is float:
+        ok = isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
+    else:
+        ok = isinstance(value, numbers.Integral if kind is int else str)
+    if not ok:
+        raise UsageError(f"{name} must be {_KINDS[kind]}, got {value!r}")
+    return kind(value)
+
+
+def check_types(config) -> None:
+    """Convert each field of the dataclass ``config`` to its annotated type."""
+    hints = typing.get_type_hints(type(config))
+    for f in fields(config):
+        setattr(config, f.name, _typed(f.name, getattr(config, f.name), hints[f.name]))
+
+
+def config_from_dict(cls, d: dict, complete: bool = False):
+    """``cls(**d)`` for a JSON object, ignoring ``schema_version``.  A key
+    that is not a field of ``cls``, or with ``complete`` a field without a
+    key, is a UsageError; ``cls`` checks the values."""
+    d = {k: v for k, v in d.items() if k != "schema_version"}
+    names = {f.name for f in fields(cls)}
+    missing = sorted(names - set(d)) if complete else []
+    unknown = sorted(set(d) - names)
+    if missing or unknown:
+        raise UsageError(f"{cls.__name__} fields do not match: missing {missing}, "
+                         f"unknown {unknown}")
+    return cls(**d)
 
 
 @dataclass
-class ModelConfig:
-    input_dim: int
-    hidden: tuple = (32, 32)
+class Architecture:
+    """The network shape, shared by ``ModelConfig`` and the training config.
+
+    Every field is converted to its annotated type on construction.
+    """
+
+    hidden: tuple[int, ...] = (32, 32)
     activation: str = "gelu"
     conditioning: str = "lora"
     rank: int = 8
@@ -47,28 +102,41 @@ class ModelConfig:
     modulation_hidden: int = 32
     batchnorm: bool = False
     dropout: float = 0.0
-    time_scale: float = 1.0
 
     def __post_init__(self):
-        if not (self.time_scale > 0 and math.isfinite(self.time_scale)):
-            raise UsageError(f"time_scale must be positive, got {self.time_scale}")
-        self.hidden = tuple(int(h) for h in self.hidden)
-        if self.input_dim < 1:
-            raise UsageError(f"input_dim must be >= 1, got {self.input_dim}")
+        check_types(self)
         if not self.hidden or any(h < 1 for h in self.hidden):
             raise UsageError(f"hidden sizes must be positive, got {self.hidden}")
         if self.activation not in ACTIVATIONS:
             raise UsageError(f"unknown activation {self.activation!r}")
         if self.conditioning not in CONDITIONING_KINDS:
             raise UsageError(f"unknown conditioning {self.conditioning!r}")
+        if self.rank < 1:
+            raise UsageError(f"rank must be >= 1, got {self.rank}")
         if self.conditioning == "lora" and self.rank >= self.hidden[-1]:
             raise UsageError(
                 f"low-rank head needs rank < embedding width, got rank={self.rank} "
                 f"for width {self.hidden[-1]}")
         if self.time_embed_dim < 2:
             raise UsageError("time_embed_dim must be >= 2")
+        if self.modulation_hidden < 1:
+            raise UsageError(
+                f"modulation_hidden must be >= 1, got {self.modulation_hidden}")
         if not 0.0 <= self.dropout < 1.0:
             raise UsageError(f"dropout must be in [0, 1), got {self.dropout}")
+
+
+@dataclass(kw_only=True)
+class ModelConfig(Architecture):
+    input_dim: int
+    time_scale: float = 1.0
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.time_scale > 0:
+            raise UsageError(f"time_scale must be positive, got {self.time_scale}")
+        if self.input_dim < 1:
+            raise UsageError(f"input_dim must be >= 1, got {self.input_dim}")
 
     def as_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -77,17 +145,8 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        """Inverse of ``as_dict``; every field must be present and no other.
-
-        The dict comes from a checkpoint file, so a key mismatch is a data error.
-        """
-        names = {f.name for f in fields(cls)}
-        missing, unknown = sorted(names - set(d)), sorted(set(d) - names)
-        if missing or unknown:
-            raise IngestionError(
-                f"architecture keys do not match ModelConfig: missing {missing}, "
-                f"unknown {unknown}")
-        return cls(**d)
+        """Inverse of ``as_dict``; every field must be present and no other."""
+        return config_from_dict(cls, d, complete=True)
 
 
 def _glorot(rng, d_out, d_in):
@@ -289,6 +348,9 @@ class HazardModel:
         grid = np.asarray(grid, dtype=np.float64)
         if grid.ndim != 1 or len(grid) == 0:
             raise ContractError("grid must be a nonempty 1-d array")
+        if not np.all(np.isfinite(grid)):
+            raise ContractError(
+                f"grid must be finite, got points from {grid[0]} to {grid[-1]}")
         if np.any(np.diff(grid) < 0) or grid[0] < 0:
             raise ContractError("grid must be ascending and nonnegative")
         n, g, k = x.shape[0], len(grid), rule.order

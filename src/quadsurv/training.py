@@ -25,35 +25,35 @@ from . import metrics as mx
 from .data import Standardizer, SurvivalData, stratified_split
 from .errors import (ContractError, DegenerateDataError, NumericDomainError,
                      UsageError)
-from .model import (ACTIVATIONS, CONDITIONING_KINDS, HazardModel, ModelConfig)
+from .model import (Architecture, HazardModel, ModelConfig, check_types,
+                    config_from_dict)
 from .quadrature import MAX_ORDER, QuadratureRule, build_rule
 
 SCHEMA_VERSION = 1
 
 
+# C_td differences below this are sampling noise at typical validation
+# sizes; the epoch selection treats them as ties and lets IBS decide
+CTD_TIE_TOLERANCE = 2e-3
+
+
 @dataclass
-class TrainingConfig:
+class TrainingConfig(Architecture):
+    """Optimization settings on top of the network shape; every field is
+    converted to its annotated type and range-checked on construction."""
+
     k_nodes: int = 15
     learning_rate: float = 1e-2
     weight_decay: float = 1e-6
-    dropout: float = 0.0
     batch_size: int = 128
     max_epochs: int = 200
     seed: int = 0
-    conditioning: str = "lora"
-    hidden: tuple = (32, 32)
-    activation: str = "gelu"
-    batchnorm: bool = False
-    rank: int = 8
-    time_embed_dim: int = 16
-    modulation_hidden: int = 32
     val_fraction: float = 0.2
     grad_clip: float = 10.0
     val_grid_points: int = 64
-    ctd_tie_tolerance: float = 2e-3
 
     def __post_init__(self):
-        self.hidden = tuple(int(h) for h in self.hidden)
+        super().__post_init__()
         if not 1 <= self.k_nodes <= MAX_ORDER:
             raise UsageError(f"k_nodes must be in [1, {MAX_ORDER}], got {self.k_nodes}")
         if self.batch_size < 1:
@@ -67,10 +67,6 @@ class TrainingConfig:
             raise UsageError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.seed < 0:
             raise UsageError(f"seed must be >= 0, got {self.seed}")
-        if self.conditioning not in CONDITIONING_KINDS:
-            raise UsageError(f"unknown conditioning {self.conditioning!r}")
-        if self.activation not in ACTIVATIONS:
-            raise UsageError(f"unknown activation {self.activation!r}")
         if self.weight_decay < 0:
             raise UsageError("weight_decay must be >= 0")
         if self.grad_clip <= 0:
@@ -80,14 +76,9 @@ class TrainingConfig:
                 f"val_grid_points must be >= 2, got {self.val_grid_points}")
 
     def model_config(self, input_dim: int, time_scale: float = 1.0) -> ModelConfig:
-        """``input_dim`` and ``time_scale`` come from the data, the rest from here.
-
-        Every other ModelConfig field is read from the field of the same name,
-        so a model field this config lacks fails loudly instead of defaulting.
-        """
-        shared = {f.name: getattr(self, f.name) for f in fields(ModelConfig)
-                  if f.name not in ("input_dim", "time_scale")}
-        return ModelConfig(input_dim=input_dim, time_scale=time_scale, **shared)
+        """``input_dim`` and ``time_scale`` come from the data, the rest from here."""
+        shape = {f.name: getattr(self, f.name) for f in fields(Architecture)}
+        return ModelConfig(input_dim=input_dim, time_scale=time_scale, **shape)
 
     def as_dict(self) -> dict:
         d = {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -97,13 +88,7 @@ class TrainingConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainingConfig":
-        d = {k: v for k, v in d.items() if k != "schema_version"}
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise UsageError(f"unknown config fields: {sorted(unknown)}")
-        if "hidden" in d:
-            d["hidden"] = tuple(d["hidden"])
-        return cls(**d)
+        return config_from_dict(cls, d)
 
 
 def cosine_lr(base_lr: float, epoch: int, t_max: int) -> float:
@@ -239,7 +224,6 @@ class TrainResult:
     log: list = field(default_factory=list)
     best_epoch: int = -1
     best_val_ctd: float | None = None
-    clip_events: int = 0
     abort_reason: str | None = None
     wall_clock: float = 0.0
 
@@ -300,7 +284,6 @@ def train(config: TrainingConfig, dataset: SurvivalData) -> TrainResult:
     n = len(dtrain)
     log = []
     best = {"key": None, "state": None, "epoch": -1, "ctd": None, "ibs": None}
-    clip_events = 0
     abort_reason = None
 
     for epoch in range(config.max_epochs):
@@ -323,7 +306,6 @@ def train(config: TrainingConfig, dataset: SurvivalData) -> TrainResult:
                 epoch_loss += float(loss.values) * len(batch)
         except NumericDomainError as err:
             abort_reason = str(err)
-        clip_events += epoch_clips
 
         if abort_reason is not None:
             break
@@ -334,13 +316,11 @@ def train(config: TrainingConfig, dataset: SurvivalData) -> TrainResult:
                     "val_loss": val_loss, "val_ctd": val_ctd, "lr": lr,
                     "val_ibs": val_ibs, "clipped_steps": epoch_clips})
         ctd_key = -1.0 if val_ctd is None else val_ctd
-        # C_td differences below the tolerance are sampling noise at typical
-        # validation sizes; treat them as ties and let IBS decide
         if best["key"] is None:
             better, new_key = True, ctd_key
-        elif ctd_key > best["key"] + config.ctd_tie_tolerance:
+        elif ctd_key > best["key"] + CTD_TIE_TOLERANCE:
             better, new_key = True, ctd_key
-        elif ctd_key >= best["key"] - config.ctd_tie_tolerance \
+        elif ctd_key >= best["key"] - CTD_TIE_TOLERANCE \
                 and val_ibs < best["ibs"]:
             # ratchet: a tie never lowers the incumbent bar
             better, new_key = True, max(ctd_key, best["key"])
@@ -357,7 +337,7 @@ def train(config: TrainingConfig, dataset: SurvivalData) -> TrainResult:
 
     return TrainResult(model=model, scaler=scaler, rule=rule, config=config,
                        log=log, best_epoch=best["epoch"], best_val_ctd=best["ctd"],
-                       clip_events=clip_events, abort_reason=abort_reason,
+                       abort_reason=abort_reason,
                        wall_clock=_time.perf_counter() - t_start)
 
 
@@ -382,13 +362,29 @@ def write_log_ndjson(log, path) -> None:
 
 @dataclass
 class SearchSpace:
-    n_layers: tuple = (2, 3, 4)
-    hidden: tuple = (32, 64, 128, 256)
-    learning_rate: tuple = (1e-4, 1e-2)
-    weight_decay: tuple = (1e-8, 1e-3)
-    dropout: tuple = (0.0, 0.1, 0.3, 0.5)
-    batch_size: tuple = (64, 128, 256)
-    batchnorm: tuple = (True, False)
+    """Log-uniform ranges [lo, hi] for ``learning_rate`` and ``weight_decay``,
+    choice lists for the rest; a trial has ``n_layers`` layers of one width."""
+
+    n_layers: tuple[int, ...] = (2, 3, 4)
+    hidden: tuple[int, ...] = (32, 64, 128, 256)
+    learning_rate: tuple[float, float] = (1e-4, 1e-2)
+    weight_decay: tuple[float, float] = (1e-8, 1e-3)
+    dropout: tuple[float, ...] = (0.0, 0.1, 0.3, 0.5)
+    batch_size: tuple[int, ...] = (64, 128, 256)
+    batchnorm: tuple[bool, ...] = (True, False)
+
+    def __post_init__(self):
+        check_types(self)
+        for name in ("learning_rate", "weight_decay"):
+            lo, hi = getattr(self, name)
+            if not 0 < lo < hi:
+                raise UsageError(f"{name} must be a range [lo, hi] with "
+                                 f"0 < lo < hi, got {[lo, hi]}")
+        for f in fields(self):
+            if not getattr(self, f.name):
+                raise UsageError(f"{f.name} must list at least one choice")
+        if min(self.n_layers) < 1:
+            raise UsageError(f"n_layers choices must be >= 1, got {self.n_layers}")
 
     def sample(self, rng) -> dict:
         log_lr = rng.uniform(math.log(self.learning_rate[0]),
@@ -407,17 +403,13 @@ class SearchSpace:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SearchSpace":
-        d = {k: v for k, v in d.items() if k != "schema_version"}
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise UsageError(f"unknown search-space fields: {sorted(unknown)}")
-        return cls(**{k: tuple(v) for k, v in d.items()})
+        return config_from_dict(cls, d)
 
 
 @dataclass
 class TrialRecord:
     index: int
-    config: TrainingConfig
+    sample: dict  # the hyperparameters drawn for the trial
     val_ctd: float | None
     val_ibs: float | None
     error: str | None = None
@@ -428,7 +420,8 @@ def random_search(space: SearchSpace, trials: int, dataset: SurvivalData,
     """Random search over the tabular space, selected on validation C_td.
 
     Ties on C_td break toward the lower validation integrated Brier score.
-    A failing trial is recorded with its error and skipped.
+    A failing trial, including one whose sampled architecture the model
+    rejects, is recorded with its error and skipped.
     """
     if trials < 1:
         raise UsageError(f"trials must be >= 1, got {trials}")
@@ -436,17 +429,15 @@ def random_search(space: SearchSpace, trials: int, dataset: SurvivalData,
     rng = np.random.default_rng(base.seed)
     sampled = [space.sample(rng) for _ in range(trials)]
     trial_seeds = rng.integers(0, 2 ** 31 - 1, size=trials)
-    configs = [replace(base, seed=int(trial_seeds[i]), **sampled[i])
-               for i in range(trials)]
 
     records, best_rec, best_res = [], None, None
-    for i, cfg in enumerate(configs):
+    for i, sample in enumerate(sampled):
         try:
-            res = train(cfg, dataset)
+            res = train(replace(base, seed=int(trial_seeds[i]), **sample), dataset)
             ibs = res.log[res.best_epoch]["val_ibs"] if res.log else None
-            rec = TrialRecord(i, cfg, res.best_val_ctd, ibs)
+            rec = TrialRecord(i, sample, res.best_val_ctd, ibs)
         except Exception as err:  # noqa: BLE001 - trial isolation is the contract
-            records.append(TrialRecord(i, cfg, None, None, error=str(err)))
+            records.append(TrialRecord(i, sample, None, None, error=str(err)))
             continue
         records.append(rec)
         if rec.val_ctd is not None and (

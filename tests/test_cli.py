@@ -198,10 +198,23 @@ def test_train_rejects_invalid_k(tmp_path, sim_dir):
     ("hpo", '{"hidden": 5}', [], 2),
     ("hpo", '{"width": [8]}', [], 2),
     ("hpo", "{}", ["--seed", -1], 2),
+    ("train", '{"max_epochs": 2.5}', [], 2),
+    ("train", '{"max_epochs": true}', [], 2),
+    ("train", '{"batchnorm": "no"}', [], 2),
+    ("train", '{"hidden": [8.7]}', [], 2),
+    ("train", '{"rank": 40}', [], 2),
+    ("hpo", '{"hidden": ["a"]}', [], 2),
+    ("hpo", '{"learning_rate": [0.1]}', [], 2),
+    ("hpo", '{"dropout": []}', [], 2),
+    ("hpo", '{"n_layers": [0]}', [], 2),
+    ("hpo", '{"batch_size": [1.5]}', [], 2),
 ], ids=["train-not-json", "train-list", "train-missing", "train-str-epochs",
         "train-int-hidden", "train-negative-seed", "train-unknown-field",
         "train-seed-flag", "hpo-empty", "hpo-list", "hpo-int-hidden",
-        "hpo-unknown-field", "hpo-seed-flag"])
+        "hpo-unknown-field", "hpo-seed-flag", "train-fractional-epochs",
+        "train-bool-epochs", "train-str-batchnorm", "train-fractional-hidden",
+        "train-rank-not-below-width", "hpo-str-hidden", "hpo-one-ended-range",
+        "hpo-no-dropout-choice", "hpo-zero-layers", "hpo-fractional-batch"])
 def test_config_and_space_file_exit_codes(tmp_path, sim_dir, capsys, command,
                                           content, flags, code):
     """A bad file exits 3 and a bad value 2, naming the file (the flag for
@@ -303,6 +316,12 @@ def test_predict_nan_covariate_fails_without_curves(tmp_path, sim_dir, trained, 
     assert run(["predict", trained, bad, "--grid-max", 2.0, "--out", out]) == 3
     assert "column 'x', row 2" in capsys.readouterr().err
     assert not out.exists()
+    for grid_max in ("nan", "inf"):
+        assert run(["predict", trained, sim_dir / "test.csv", "--grid-max", grid_max,
+                    "--out", out]) == 2
+        assert f"grid must be finite, got points from nan to {grid_max}" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
 
 def _run_with_bad_cell(tmp_path, sim_dir, trained, capsys, command, column, cell):
@@ -366,14 +385,16 @@ def test_checkpoint_architecture_keys_must_match_exit_3(tmp_path, sim_dir, train
 
 @pytest.mark.parametrize("damage", ["not json", "architecture", "standardization",
                                     "params", "k_nodes=0", "columns+1", "mean+1",
-                                    "scale+1"])
+                                    "scale+1", "k_nodes=3.7", "hidden=[8.9]",
+                                    'batchnorm="no"', "batchnorm=true"])
 def test_malformed_checkpoint_exit_3(tmp_path, sim_dir, trained, capsys, damage):
     bad = tmp_path / "checkpoint.json"
     payload = json.loads(trained.read_text())
     if damage == "not json":
         bad.write_text(trained.read_text()[:-20])
-    elif damage == "k_nodes=0":
-        payload["architecture"]["k_nodes"] = 0
+    elif "=" in damage:
+        key, value = damage.split("=")
+        payload["architecture"][key] = json.loads(value)
         bad.write_text(json.dumps(payload))
     elif damage.endswith("+1"):
         entry = payload["standardization"][damage[:-2]]
@@ -387,8 +408,9 @@ def test_malformed_checkpoint_exit_3(tmp_path, sim_dir, trained, capsys, damage)
                 "--out", tmp_path / "r.json"]) == 3
     assert run(["predict", bad, sim_dir / "test.csv", "--grid-max", 2.0,
                 "--out", tmp_path / "curves.csv"]) == 3
+    err = capsys.readouterr().err
+    assert err.count(f"{bad}: ") == 2
     if damage.endswith("+1"):
-        err = capsys.readouterr().err
         assert f"{bad}: standardization has" in err
         assert "the model's input width is 1" in err
 

@@ -1,10 +1,14 @@
 """Loss values, optimizer arithmetic, the training loop, random search."""
 
+import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quadsurv import autodiff as ad
 from quadsurv import metrics as mx
@@ -202,6 +206,37 @@ def test_config_json_roundtrip():
         TrainingConfig.from_dict({"nodes": 3})
 
 
+def test_readme_config_example_parses():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = re.search(r"cat > config.json << 'JSON'\n(.*?)\nJSON\n", readme, re.S)
+    cfg = TrainingConfig.from_dict(json.loads(example.group(1)))
+    assert (cfg.k_nodes, cfg.hidden, cfg.batch_size) == (15, (32, 32), 256)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=2),
+    max_leaves=6)
+PLAUSIBLE_VALUES = (st.integers(-2, 70) | st.floats(-0.5, 1.5)
+                    | st.lists(st.integers(-1, 40) | st.booleans(), max_size=3)
+                    | st.lists(st.floats(-1e-3, 1e-1), min_size=2, max_size=2)
+                    | st.sampled_from(["lora", "film", "concat", "tanh", "gelu"]))
+
+
+@pytest.mark.parametrize("cls", [TrainingConfig, SearchSpace])
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_from_dict_returns_config_or_usage_error(cls, data):
+    names = [f.name for f in dataclasses.fields(cls)]
+    payload = data.draw(st.dictionaries(st.sampled_from(names),
+                                        JSON_VALUES | PLAUSIBLE_VALUES, max_size=4))
+    try:
+        assert isinstance(cls.from_dict(payload), cls)
+    except UsageError:
+        pass
+
+
 def test_model_config_carries_every_model_field():
     cfg = TrainingConfig(hidden=(7, 5), activation="tanh", conditioning="film", rank=3,
                          time_embed_dim=6, modulation_hidden=9, batchnorm=True,
@@ -384,11 +419,10 @@ def test_search_reproducible():
 
 
 def test_trial_selection_rule():
-    cfg = TrainingConfig()
-    a = TrialRecord(0, cfg, val_ctd=0.7, val_ibs=0.2)
-    b = TrialRecord(1, cfg, val_ctd=0.6, val_ibs=0.1)
-    tie_lo = TrialRecord(2, cfg, val_ctd=0.7, val_ibs=0.15)
-    failed = TrialRecord(3, cfg, val_ctd=None, val_ibs=None)
+    a = TrialRecord(0, {}, val_ctd=0.7, val_ibs=0.2)
+    b = TrialRecord(1, {}, val_ctd=0.6, val_ibs=0.1)
+    tie_lo = TrialRecord(2, {}, val_ctd=0.7, val_ibs=0.15)
+    failed = TrialRecord(3, {}, val_ctd=None, val_ibs=None)
     assert trial_sort_key(a) > trial_sort_key(b)          # higher C_td wins
     assert trial_sort_key(tie_lo) > trial_sort_key(a)     # tie: lower IBS wins
     assert trial_sort_key(failed) < trial_sort_key(b)
@@ -406,3 +440,15 @@ def test_failed_trials_are_recorded_and_skipped():
         assert all(r.error is None for r in records) or best_rec is not None
     except DegenerateDataError:
         pass  # every trial failing is also a valid outcome for tiny data
+
+
+def test_rejected_architecture_is_a_failed_trial():
+    # width 4 is not wider than the default rank 8 of the low-rank head
+    space = SearchSpace(n_layers=(1,), hidden=(4, 16), batch_size=(32,),
+                        dropout=(0.0,), batchnorm=(False,))
+    base = TrainingConfig(max_epochs=1, k_nodes=4, val_grid_points=16)
+    best_rec, _, records = random_search(space, 4, small_dataset(), base_config=base)
+    failed = [r for r in records if r.error is not None]
+    assert failed and all(r.sample["hidden"] == (4,) for r in failed)
+    assert all("rank" in r.error for r in failed)
+    assert best_rec.sample["hidden"] == (16,)
