@@ -268,14 +268,16 @@ def dropout(x: Tensor, rate: float, rng, training: bool) -> Tensor:
     return mul(x, mask)
 
 
+BN_MOMENTUM = 0.1  # weight of the batch in each update of the running moments
+BN_EPS = 1e-5
+
+
 class BatchNormState:
     """Running first and second moments used at evaluation time."""
 
-    def __init__(self, dim, momentum=0.1, eps=1e-5):
+    def __init__(self, dim):
         self.running_mean = np.zeros(dim, dtype=np.float64)
         self.running_var = np.ones(dim, dtype=np.float64)
-        self.momentum = float(momentum)
-        self.eps = float(eps)
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
@@ -286,14 +288,13 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
         raise ShapeError(
             f"batch_norm shapes: x {x.values.shape}, gamma {gamma.values.shape}, "
             f"beta {beta.values.shape}")
-    eps = state.eps
     if training:
         mu = x.values.mean(axis=0)
         var = x.values.var(axis=0)
-        inv_std = 1.0 / np.sqrt(var + eps)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat = (x.values - mu) * inv_std
         n = x.values.shape[0]
-        m = state.momentum
+        m = BN_MOMENTUM
         state.running_mean = (1 - m) * state.running_mean + m * mu
         unbiased = var * (n / max(n - 1, 1))
         state.running_var = (1 - m) * state.running_var + m * unbiased
@@ -303,7 +304,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
             return inv_std / n * (
                 n * gx - gx.sum(axis=0) - xhat * (gx * xhat).sum(axis=0))
     else:
-        inv_std = 1.0 / np.sqrt(state.running_var + eps)
+        inv_std = 1.0 / np.sqrt(state.running_var + BN_EPS)
         xhat = (x.values - state.running_mean) * inv_std
 
         def grad_x(g):

@@ -57,10 +57,6 @@ class SurvivalData:
     def n_features(self):
         return self.x.shape[1]
 
-    @property
-    def censoring_rate(self):
-        return float(1.0 - self.event.mean())
-
     def subset(self, idx) -> "SurvivalData":
         return SurvivalData(self.x[idx], self.time[idx], self.event[idx], self.columns)
 

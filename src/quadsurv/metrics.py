@@ -19,6 +19,11 @@ from .errors import ContractError, HorizonError, UndefinedMetricError
 IPCW_CAP = 10.0
 SURVIVAL_CLAMP = 1e-7
 CTD_BLOCK_CELLS = 1 << 19  # (subject, event) cells c_index_td compares at once
+DCAL_BINS = 10
+# the full horizon is the last training time with censoring survival at least this
+HORIZON_SUPPORT = 1e-3
+# points of an integrated metric's grid; a report predicts on these grids
+INTEGRATION_POINTS = 100
 
 
 # --- step functions and Kaplan-Meier -----------------------------------------
@@ -137,9 +142,6 @@ class CIndexResult:
     n_tied_predictions: int
     n_clipped_weights: int
 
-    def __float__(self):
-        return self.value
-
 
 def c_index_td(curves: SurvivalCurves, times, events, ghat: StepFunction,
                horizon: float) -> CIndexResult:
@@ -207,20 +209,7 @@ def _ipcw_scores(curves: SurvivalCurves, times, events, ghat: StepFunction, ts):
     return mean(s ** 2, (1.0 - s) ** 2), mean(np.log(1.0 - s_bll), np.log(s_bll)), clipped
 
 
-def brier_score(curves: SurvivalCurves, times, events, ghat: StepFunction,
-                t: float):
-    """IPCW Brier score at a single time point; also reports clip count."""
-    brier, _, clipped = _ipcw_scores(curves, times, events, ghat, t)
-    return float(brier[0]), int(clipped[0])
-
-
-def binomial_log_likelihood(curves: SurvivalCurves, times, events,
-                            ghat: StepFunction, t: float):
-    """IPCW binomial log-likelihood at time t (higher is better, <= 0)."""
-    return float(_ipcw_scores(curves, times, events, ghat, t)[1][0])
-
-
-def _integration_grid(times, horizon, n_points=100):
+def _integration_grid(times, horizon, n_points=INTEGRATION_POINTS):
     times = np.asarray(times, dtype=np.float64)
     positive = times[times > 0]
     if len(positive) == 0:
@@ -241,13 +230,13 @@ def _integrated(curves, times, events, ghat, horizon, n_points, score):
 
 
 def integrated_brier_score(curves, times, events, ghat, horizon,
-                           n_points: int = 100):
+                           n_points: int = INTEGRATION_POINTS):
     """Trapezoid integral of BS(t) over the evaluation window, normalized."""
     return _integrated(curves, times, events, ghat, horizon, n_points, 0)
 
 
 def integrated_binomial_ll(curves, times, events, ghat, horizon,
-                           n_points: int = 100):
+                           n_points: int = INTEGRATION_POINTS):
     return _integrated(curves, times, events, ghat, horizon, n_points, 1)
 
 
@@ -260,8 +249,8 @@ class DCalResult:
     bin_mass: np.ndarray
 
 
-def d_calibration(s_at_obs, events, bins: int = 10) -> DCalResult:
-    """Chi-square uniformity test of S_i(o_i) over equal-width bins.
+def d_calibration(s_at_obs, events) -> DCalResult:
+    """Chi-square uniformity test of S_i(o_i) over ``DCAL_BINS`` equal-width bins.
 
     An uncensored subject puts mass 1 in the bin containing S_i(o_i); a
     censored subject spreads its mass uniformly over [0, S_i(o_i)].
@@ -272,7 +261,7 @@ def d_calibration(s_at_obs, events, bins: int = 10) -> DCalResult:
         raise ContractError("d_calibration requires a nonempty sample")
     if np.any(s < 0) or np.any(s > 1):
         raise ContractError("survival probabilities must lie in [0, 1]")
-    n = len(s)
+    n, bins = len(s), DCAL_BINS
     mass = np.zeros(bins)
     edges = np.linspace(0.0, 1.0, bins + 1)
 
@@ -307,12 +296,11 @@ class EvaluationHorizons:
                 "q2_ties_full": self.q2_ties_full}
 
 
-def select_horizons(train_times, train_events, test_times,
-                    support_threshold: float = 1e-3) -> EvaluationHorizons:
+def select_horizons(train_times, train_events, test_times) -> EvaluationHorizons:
     """Full horizon from the training censoring support, quantiles from test.
 
     The full horizon is the largest training time point where the
-    Kaplan-Meier censoring survival stays at or above the threshold; Q1/Q2
+    Kaplan-Meier censoring survival stays at or above ``HORIZON_SUPPORT``; Q1/Q2
     are the lower quartile and median of the test observed times, capped at
     the full horizon.  Horizons are reporting-only.
     """
@@ -320,7 +308,7 @@ def select_horizons(train_times, train_events, test_times,
     test_times = np.asarray(test_times, dtype=np.float64)
     ghat = censoring_survival(train_times, train_events)
     candidates = np.unique(train_times)
-    supported = candidates[ghat(candidates) >= support_threshold]
+    supported = candidates[ghat(candidates) >= HORIZON_SUPPORT]
     if len(supported) == 0:
         raise HorizonError(
             "censoring survival drops below the support threshold immediately")
@@ -335,7 +323,7 @@ def select_horizons(train_times, train_events, test_times,
 # --- full report --------------------------------------------------------------------
 
 def evaluation_report(curves_fn, train_times, train_events, test_times,
-                      test_events, n_grid: int = 100) -> dict:
+                      test_events) -> dict:
     """Metrics at the three standard horizons plus D-calibration.
 
     ``curves_fn(grid) -> survival matrix`` supplies predictions on demand so
@@ -349,7 +337,7 @@ def evaluation_report(curves_fn, train_times, train_events, test_times,
     n_comparable = None
     for name, tau in (("full", horizons.full), ("q1", horizons.q1),
                       ("q2", horizons.q2)):
-        grid = _integration_grid(test_times, tau, n_grid)
+        grid = _integration_grid(test_times, tau)
         curves = SurvivalCurves(grid, curves_fn(grid))
         if name == "full":
             full_curves = curves

@@ -13,11 +13,11 @@ of three heads:
                   subject, so extra time points cost only the small
                   modulation branch.
 
-Each head is written once, in ``HazardModel._forward`` over autodiff ops,
+Each head is written once, in ``HazardModel.forward`` over autodiff ops,
 for per-subject times (the loss) and for a time grid shared by every
 subject (dense curves).  Training runs it on the parameters, which records
-the graph; evaluation runs it on constant views of the same arrays, which
-records nothing.
+the graph; ``log_hazard_matrix`` and ``curves`` run it on constant views of
+the same arrays, which records nothing.
 """
 
 from __future__ import annotations
@@ -91,7 +91,8 @@ def config_from_dict(cls, d: dict, complete: bool = False):
 class Architecture:
     """The network shape, shared by ``ModelConfig`` and the training config.
 
-    Every field is converted to its annotated type on construction.
+    Every field is converted to its annotated type and checked against
+    ``RANGES`` on construction.
     """
 
     hidden: tuple[int, ...] = (32, 32)
@@ -103,27 +104,34 @@ class Architecture:
     batchnorm: bool = False
     dropout: float = 0.0
 
+    # each field's valid values: a test and the message, formatted with the
+    # value, that rejects it; a rule across fields is in ``__post_init__``
+    RANGES = {
+        "hidden": (lambda v: len(v) > 0 and min(v) >= 1,
+                   "hidden sizes must be positive, got {}"),
+        "activation": (lambda v: v in ACTIVATIONS, "unknown activation {!r}"),
+        "conditioning": (lambda v: v in CONDITIONING_KINDS, "unknown conditioning {!r}"),
+        "rank": (lambda v: v >= 1, "rank must be >= 1, got {}"),
+        "time_embed_dim": (lambda v: v >= 2, "time_embed_dim must be >= 2, got {}"),
+        "modulation_hidden": (lambda v: v >= 1, "modulation_hidden must be >= 1, got {}"),
+        "dropout": (lambda v: 0.0 <= v < 1.0, "dropout must be in [0, 1), got {}"),
+    }
+
+    @classmethod
+    def check_range(cls, name: str, value) -> None:
+        """UsageError unless ``value`` is a valid value of the field ``name``."""
+        valid, message = cls.RANGES[name]
+        if not valid(value):
+            raise UsageError(message.format(value))
+
     def __post_init__(self):
         check_types(self)
-        if not self.hidden or any(h < 1 for h in self.hidden):
-            raise UsageError(f"hidden sizes must be positive, got {self.hidden}")
-        if self.activation not in ACTIVATIONS:
-            raise UsageError(f"unknown activation {self.activation!r}")
-        if self.conditioning not in CONDITIONING_KINDS:
-            raise UsageError(f"unknown conditioning {self.conditioning!r}")
-        if self.rank < 1:
-            raise UsageError(f"rank must be >= 1, got {self.rank}")
+        for name in self.RANGES:
+            self.check_range(name, getattr(self, name))
         if self.conditioning == "lora" and self.rank >= self.hidden[-1]:
             raise UsageError(
                 f"low-rank head needs rank < embedding width, got rank={self.rank} "
                 f"for width {self.hidden[-1]}")
-        if self.time_embed_dim < 2:
-            raise UsageError("time_embed_dim must be >= 2")
-        if self.modulation_hidden < 1:
-            raise UsageError(
-                f"modulation_hidden must be >= 1, got {self.modulation_hidden}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise UsageError(f"dropout must be in [0, 1), got {self.dropout}")
 
 
 @dataclass(kw_only=True)
@@ -131,12 +139,9 @@ class ModelConfig(Architecture):
     input_dim: int
     time_scale: float = 1.0
 
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.time_scale > 0:
-            raise UsageError(f"time_scale must be positive, got {self.time_scale}")
-        if self.input_dim < 1:
-            raise UsageError(f"input_dim must be >= 1, got {self.input_dim}")
+    RANGES = {**Architecture.RANGES,
+              "input_dim": (lambda v: v >= 1, "input_dim must be >= 1, got {}"),
+              "time_scale": (lambda v: v > 0, "time_scale must be positive, got {}")}
 
     def as_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -157,12 +162,10 @@ def _glorot(rng, d_out, d_in):
 class HazardModel:
     """All learnable state of a log-hazard network f(x, t)."""
 
-    def __init__(self, config: ModelConfig, rng=None):
+    def __init__(self, config: ModelConfig, rng):
         self.config = config
         self.params: dict[str, ad.Tensor] = {}
         self.bn_states: list[ad.BatchNormState] = []
-        if rng is None:
-            rng = np.random.default_rng(0)
         self._init_params(rng)
 
     # --- construction --------------------------------------------------
@@ -252,13 +255,14 @@ class HazardModel:
             cfg.activation, ad.affine(p["mod.h.W"], p["mod.h.b"], emb))
         return ad.affine(p["mod.out.W"], p["mod.out.b"], s_hidden)
 
-    def _forward(self, p, x, times, training=False, rng=None) -> ad.Tensor:
+    def forward(self, p, x, times, training=False, rng=None) -> ad.Tensor:
         """Log-hazard tensor of shape (batch, n_times).
 
         ``x`` is (batch, d).  ``times`` is either (batch, n_times), entry
         (i, j) giving f(x_i, times[i, j]), or a 1-d grid of n_times shared by
         every subject.  ``p`` maps parameter names to tensors:
-        ``self.params`` records the graph, ``self._constants()`` does not.
+        ``self.params`` records the graph (the training loss passes it, with
+        ``training`` and the dropout ``rng``), ``self._constants()`` does not.
 
         ``film`` and ``lora`` factorise as f(x_i, t) = a_i . c(t) + bias(t),
         with a per-subject row a and per-time rows c and bias, so the head and
@@ -306,33 +310,10 @@ class HazardModel:
         f = ad.reduce_sum(ad.mul(ad.tile_rows(a, r), c), axis=1)
         return ad.reshape(f if bias is None else ad.add(f, bias), (b, r))
 
-    def forward_times_recorded(self, x, times, training=False, rng=None):
-        """Recorded (differentiable) log-hazards; see ``_forward``."""
-        return self._forward(self.params, x, times, training, rng)
-
     def log_hazard_matrix(self, x, times):
-        """Evaluation-mode log-hazards as a (batch, n_times) array; see ``_forward``."""
-        return self._forward(self._constants(), x, times).values
-
-    def _eval_backbone(self, x):
-        return self._backbone(self._constants(), ad.tensor(x), False, None).values
-
-    # --- public scalar / curve API --------------------------------------
-
-    def log_hazard(self, x, t: float) -> float:
-        """f(x, t) for one subject, deterministic in evaluation mode."""
-        x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-        if not math.isfinite(t) or t < 0:
-            raise ContractError(f"time must be finite and nonnegative, got {t}")
-        return float(self.log_hazard_matrix(x, np.array([[t]]))[0, 0])
-
-    def log_hazard_at_nodes(self, x, t: float, rule: QuadratureRule) -> np.ndarray:
-        """f(x, t * tau_k) for every quadrature node, in one forward pass."""
-        x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-        if not math.isfinite(t) or t < 0:
-            raise ContractError(f"time must be finite and nonnegative, got {t}")
-        times = (t * rule.unit_nodes)[None, :]
-        return self.log_hazard_matrix(x, times)[0]
+        """``forward`` in evaluation mode on constant views of the parameters,
+        as a (batch, n_times) array; it records no graph."""
+        return self.forward(self._constants(), x, times).values
 
     def curves(self, x, grid, rule: QuadratureRule):
         """Hazard, cumulative hazard and survival over a shared time grid.
@@ -363,7 +344,7 @@ class HazardModel:
             block = grid[start:start + chunk]
             m = len(block)
             times = np.concatenate([block, np.outer(block, rule.unit_nodes).ravel()])
-            lam_all = np.exp(self._forward(p, x, times).values)
+            lam_all = np.exp(self.forward(p, x, times).values)
             lam[:, start:start + m] = lam_all[:, :m]
             lam_nodes = lam_all[:, m:].reshape(n, m, k)
             cumhaz[:, start:start + m] = (block / 2.0) * (lam_nodes @ rule.weights)

@@ -45,28 +45,13 @@ GOMPERTZ_C = 0.05
 SCENARIO2_CENSOR_RATE = 1.0 / 3.0
 CALIBRATION_DRAWS = 100_000
 CALIBRATION_TOL = 0.01
+EVALUATION_POINTS = 200  # points of the grid that curve errors are integrated on
 
 
 def poly_link(x, w):
     """w0 + w1 x + w2 x^2 + w3 x^3."""
     x = np.asarray(x, dtype=np.float64)
     return w[0] + w[1] * x + w[2] * x ** 2 + w[3] * x ** 3
-
-
-def _poly_min_on_unit_interval(w):
-    """Exact minimum of the cubic link over [-1, 1] (endpoints + stationary)."""
-    candidates = [-1.0, 1.0]
-    a, b, c = 3 * w[3], 2 * w[2], w[1]
-    if a == 0:
-        if b != 0:
-            candidates.append(-c / b)
-    else:
-        disc = b * b - 4 * a * c
-        if disc >= 0:
-            root = math.sqrt(disc)
-            candidates.extend([(-b - root) / (2 * a), (-b + root) / (2 * a)])
-    vals = [poly_link(t, w) for t in candidates if -1.0 <= t <= 1.0]
-    return float(min(vals))
 
 
 def _safe_pow(t, p):
@@ -273,10 +258,6 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise UsageError(f"unknown family {self.family!r}; choose from {FAMILIES}")
-        if self.family == "gamma":
-            # the rejection sampler assumes shape >= 1 on the covariate range
-            if math.exp(_poly_min_on_unit_interval(COEFFICIENTS["gamma"]["shape"])) < 1.0:
-                raise UsageError("gamma shape drops below 1 on [-1, 1]")
         if min(self.n_train, self.n_test) < 1:
             raise UsageError(
                 f"n_train and n_test must be >= 1, got {self.n_train}, {self.n_test}")
@@ -394,8 +375,9 @@ def generate(spec: GeneratorSpec, seed: int) -> SimulatedData:
 
 # --- evaluation helpers --------------------------------------------------------------
 
-def evaluation_grid(train_times, n_points: int = 200) -> np.ndarray:
-    """Equally spaced positive grid up to the 99th percentile of training times.
+def evaluation_grid(train_times) -> np.ndarray:
+    """``EVALUATION_POINTS`` equally spaced positive points up to the 99th
+    percentile of training times.
 
     The left endpoint is one spacing above zero; several true hazards are
     singular at t = 0 and the integrated errors must stay finite.
@@ -403,7 +385,7 @@ def evaluation_grid(train_times, n_points: int = 200) -> np.ndarray:
     hi = float(np.quantile(np.asarray(train_times, dtype=np.float64), 0.99))
     if hi <= 0:
         raise ContractError("training times are all zero")
-    return np.linspace(0.0, hi, n_points + 1)[1:]
+    return np.linspace(0.0, hi, EVALUATION_POINTS + 1)[1:]
 
 
 def marginalized_curves(curve_source, xs, grid):

@@ -35,6 +35,8 @@ SCHEMA_VERSION = 1
 # C_td differences below this are sampling noise at typical validation
 # sizes; the epoch selection treats them as ties and lets IBS decide
 CTD_TIE_TOLERANCE = 2e-3
+ADAM_BETAS = (0.9, 0.999)  # decay rates of the first and second moments
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -52,28 +54,19 @@ class TrainingConfig(Architecture):
     grad_clip: float = 10.0
     val_grid_points: int = 64
 
-    def __post_init__(self):
-        super().__post_init__()
-        if not 1 <= self.k_nodes <= MAX_ORDER:
-            raise UsageError(f"k_nodes must be in [1, {MAX_ORDER}], got {self.k_nodes}")
-        if self.batch_size < 1:
-            raise UsageError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise UsageError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if not 0.0 < self.val_fraction < 1.0:
-            raise UsageError(
-                f"val_fraction must be in (0, 1), got {self.val_fraction}")
-        if self.max_epochs < 1:
-            raise UsageError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.seed < 0:
-            raise UsageError(f"seed must be >= 0, got {self.seed}")
-        if self.weight_decay < 0:
-            raise UsageError("weight_decay must be >= 0")
-        if self.grad_clip <= 0:
-            raise UsageError(f"grad_clip must be > 0, got {self.grad_clip}")
-        if self.val_grid_points < 2:
-            raise UsageError(
-                f"val_grid_points must be >= 2, got {self.val_grid_points}")
+    RANGES = {
+        **Architecture.RANGES,
+        "k_nodes": (lambda v: 1 <= v <= MAX_ORDER,
+                    f"k_nodes must be in [1, {MAX_ORDER}], got {{}}"),
+        "learning_rate": (lambda v: v > 0, "learning_rate must be > 0, got {}"),
+        "weight_decay": (lambda v: v >= 0, "weight_decay must be >= 0, got {}"),
+        "batch_size": (lambda v: v >= 1, "batch_size must be >= 1, got {}"),
+        "max_epochs": (lambda v: v >= 1, "max_epochs must be >= 1, got {}"),
+        "seed": (lambda v: v >= 0, "seed must be >= 0, got {}"),
+        "val_fraction": (lambda v: 0.0 < v < 1.0, "val_fraction must be in (0, 1), got {}"),
+        "grad_clip": (lambda v: v > 0, "grad_clip must be > 0, got {}"),
+        "val_grid_points": (lambda v: v >= 2, "val_grid_points must be >= 2, got {}"),
+    }
 
     def model_config(self, input_dim: int, time_scale: float = 1.0) -> ModelConfig:
         """``input_dim`` and ``time_scale`` come from the data, the rest from here."""
@@ -130,8 +123,8 @@ def nll_loss(model: HazardModel, rule: QuadratureRule, x, times, events,
     if b == 0:
         raise ContractError("nll_loss requires a nonempty batch")
     try:
-        f_all = model.forward_times_recorded(x, _loss_times(times, rule),
-                                             training=training, rng=rng)
+        f_all = model.forward(model.params, x, _loss_times(times, rule),
+                              training=training, rng=rng)
         event_term, cumhaz = _loss_terms(f_all, rule, times, events)
     except NumericDomainError as err:
         raise _locate_subject(err, b, rule.order + 1) from None
@@ -177,9 +170,9 @@ class AdamWState:
 
 
 def adamw_step(params: dict, grads: dict, state: AdamWState, lr: float,
-               weight_decay: float, betas=(0.9, 0.999), eps: float = 1e-8) -> None:
+               weight_decay: float) -> None:
     """One decoupled-weight-decay Adam update with bias correction."""
-    b1, b2 = betas
+    b1, b2 = ADAM_BETAS
     state.step += 1
     t = state.step
     corr1 = 1.0 - b1 ** t
@@ -197,7 +190,7 @@ def adamw_step(params: dict, grads: dict, state: AdamWState, lr: float,
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        p.values -= lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
+        p.values -= lr * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
 
 
 def clip_gradients(grads: dict, max_norm: float) -> bool:
@@ -385,6 +378,12 @@ class SearchSpace:
                 raise UsageError(f"{f.name} must list at least one choice")
         if min(self.n_layers) < 1:
             raise UsageError(f"n_layers choices must be >= 1, got {self.n_layers}")
+        # a choice outside its field's range would fail every trial that drew it
+        choices = {"hidden": [(w,) for w in self.hidden], "dropout": self.dropout,
+                   "batch_size": self.batch_size}
+        for name, values in choices.items():
+            for value in values:
+                TrainingConfig.check_range(name, value)
 
     def sample(self, rng) -> dict:
         log_lr = rng.uniform(math.log(self.learning_rate[0]),
@@ -444,7 +443,11 @@ def random_search(space: SearchSpace, trials: int, dataset: SurvivalData,
                 best_rec is None or trial_sort_key(rec) > trial_sort_key(best_rec)):
             best_rec, best_res = rec, res
     if best_res is None:
-        raise DegenerateDataError("every search trial failed")
+        errors = [r.error for r in records if r.error is not None]
+        first = f" (first: {errors[0]})" if errors else ""
+        raise DegenerateDataError(
+            f"no search trial has a validation C_td: {len(errors)} of {trials} "
+            f"raised an error{first}, {trials - len(errors)} had an undefined C_td")
     return best_rec, best_res, records
 
 

@@ -271,11 +271,10 @@ def test_criterion_08_metric_oracles():
         np.array([1.0, 2.0, 3.0]),
         np.array([[0.7, 0.3, 0.1], [0.8, 0.5, 0.2], [0.9, 0.6, 0.4]]))
     hand_ghat = mx.StepFunction(np.array([1.5, 2.5]), np.array([0.8, 0.5]))
-    bs, _ = mx.brier_score(hand_curves, hand_times, hand_events, hand_ghat, 2.0)
-    bll = mx.binomial_log_likelihood(hand_curves, hand_times, hand_events,
-                                     hand_ghat, 2.0)
-    assert abs(bs - (0.3 ** 2 + (1 - 0.6) ** 2 / 0.8) / 3) < 1e-12
-    assert abs(bll - (math.log(0.7) + math.log(0.6) / 0.8) / 3) < 1e-12
+    bs, bll, _ = mx._ipcw_scores(hand_curves, hand_times, hand_events, hand_ghat,
+                                 [2.0])
+    assert abs(bs[0] - (0.3 ** 2 + (1 - 0.6) ** 2 / 0.8) / 3) < 1e-12
+    assert abs(bll[0] - (math.log(0.7) + math.log(0.6) / 0.8) / 3) < 1e-12
 
     # D-calibration rejection rate under the probability integral transform
     rng = np.random.default_rng(82)
@@ -306,13 +305,14 @@ def test_criterion_09_cache_soundness_and_head_equivalence():
         for p in model.params.values():
             p.values = rng.normal(0, 0.4, size=p.values.shape)
         rule = build_rule(10)
-        for _ in range(4):
-            x = rng.normal(size=2)
-            t = float(rng.uniform(0.1, 4.0))
-            cached = model.log_hazard_at_nodes(x, t, rule)
-            naive = np.array([model.log_hazard(x, t * tau)
-                              for tau in rule.unit_nodes])
-            worst_cache = max(worst_cache, float(np.max(np.abs(cached - naive))))
+        # the loss's layout, (b, K) node times per subject, against the curves'
+        # layout, every subject on one shared grid of all b K times
+        x = rng.normal(size=(4, 2))
+        times = np.outer(rng.uniform(0.1, 4.0, size=4), rule.unit_nodes)
+        per_subject = model.log_hazard_matrix(x, times)
+        shared = model.log_hazard_matrix(x, times.ravel()).reshape(4, 4, -1)
+        gap = np.abs(per_subject - shared[np.arange(4), np.arange(4)])
+        worst_cache = max(worst_cache, float(np.max(gap)))
     assert worst_cache < 1e-12
 
     # zero-modulation low-rank head, identity film, and the static head agree
@@ -343,15 +343,12 @@ def test_criterion_09_cache_soundness_and_head_equivalence():
     film.params["head.W"].values = wf @ w
     film.params["head.b"].values = wf @ b + bf
 
-    worst_eq = 0.0
-    for _ in range(12):
-        x = rng.normal(size=2)
-        t = float(rng.uniform(0.0, 4.0))
-        h = lora._eval_backbone(x[None, :])[0]
-        f_static = float((wf @ (w @ h + b) + bf)[0])
-        worst_eq = max(worst_eq,
-                       abs(lora.log_hazard(x, t) - f_static),
-                       abs(film.log_hazard(x, t) - f_static))
+    x = rng.normal(size=(12, 2))
+    t = rng.uniform(0.0, 4.0, size=(12, 1))
+    h = lora._backbone(lora._constants(), ad.tensor(x), False, None).values
+    f_static = (h @ w.T + b) @ wf[0] + bf[0]
+    worst_eq = max(float(np.max(np.abs(lora.log_hazard_matrix(x, t)[:, 0] - f_static))),
+                   float(np.max(np.abs(film.log_hazard_matrix(x, t)[:, 0] - f_static))))
     assert worst_eq < 1e-12
     _report(9, f"cache gap {worst_cache:.2e}, head-equivalence gap "
                f"{worst_eq:.2e}")

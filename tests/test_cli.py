@@ -54,7 +54,7 @@ def test_simulate_outputs_and_row_counts(tmp_path):
     test_rows = (out / "test.csv").read_text().strip().split("\n")
     assert len(train_rows) == 2001 and len(test_rows) == 2001
     data = load_csv(out / "train.csv")
-    assert 0.17 <= data.censoring_rate <= 0.23
+    assert 0.17 <= 1.0 - data.event.mean() <= 0.23
 
 
 def test_simulate_reproducible_bytes(tmp_path):
@@ -208,13 +208,17 @@ def test_train_rejects_invalid_k(tmp_path, sim_dir):
     ("hpo", '{"dropout": []}', [], 2),
     ("hpo", '{"n_layers": [0]}', [], 2),
     ("hpo", '{"batch_size": [1.5]}', [], 2),
+    ("hpo", '{"dropout": [1.5]}', [], 2),
+    ("hpo", '{"batch_size": [0]}', [], 2),
+    ("hpo", '{"hidden": [0]}', [], 2),
 ], ids=["train-not-json", "train-list", "train-missing", "train-str-epochs",
         "train-int-hidden", "train-negative-seed", "train-unknown-field",
         "train-seed-flag", "hpo-empty", "hpo-list", "hpo-int-hidden",
         "hpo-unknown-field", "hpo-seed-flag", "train-fractional-epochs",
         "train-bool-epochs", "train-str-batchnorm", "train-fractional-hidden",
         "train-rank-not-below-width", "hpo-str-hidden", "hpo-one-ended-range",
-        "hpo-no-dropout-choice", "hpo-zero-layers", "hpo-fractional-batch"])
+        "hpo-no-dropout-choice", "hpo-zero-layers", "hpo-fractional-batch",
+        "hpo-dropout-out-of-range", "hpo-zero-batch", "hpo-zero-width"])
 def test_config_and_space_file_exit_codes(tmp_path, sim_dir, capsys, command,
                                           content, flags, code):
     """A bad file exits 3 and a bad value 2, naming the file (the flag for

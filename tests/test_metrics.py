@@ -10,8 +10,7 @@ from scipy import stats
 from quadsurv import metrics
 from quadsurv.errors import ContractError, HorizonError, UndefinedMetricError
 from quadsurv.metrics import (IPCW_CAP, SURVIVAL_CLAMP, StepFunction,
-                              SurvivalCurves, binomial_log_likelihood,
-                              brier_score, c_index_td, censoring_survival,
+                              SurvivalCurves, c_index_td, censoring_survival,
                               d_calibration, evaluation_report,
                               integrated_brier_score, integrated_binomial_ll,
                               kaplan_meier, select_horizons)
@@ -182,19 +181,25 @@ def hand_case():
     return SurvivalCurves(grid, surv), times, events, ghat
 
 
+def scores_at(curves, times, events, ghat, t):
+    """(Brier score, clipped weights, binomial log-likelihood) at one time."""
+    brier, bll, clipped = metrics._ipcw_scores(curves, times, events, ghat, [t])
+    return float(brier[0]), int(clipped[0]), float(bll[0])
+
+
 def test_brier_hand_arithmetic():
     curves, times, events, ghat = hand_case()
     # t = 2: subject 1 died before (w = 1/G(1-) = 1), subject 2 is exactly at
     # t (no contribution), subject 3 at risk (w = 1/G(2) = 1/0.8)
     expected = (0.3 ** 2 * 1.0 + (1 - 0.6) ** 2 / 0.8) / 3.0
-    value, _ = brier_score(curves, times, events, ghat, 2.0)
+    value = scores_at(curves, times, events, ghat, 2.0)[0]
     assert value == pytest.approx(expected, abs=1e-12)
 
 
 def test_bll_hand_arithmetic():
     curves, times, events, ghat = hand_case()
     expected = (math.log(1 - 0.3) * 1.0 + math.log(0.6) / 0.8) / 3.0
-    value = binomial_log_likelihood(curves, times, events, ghat, 2.0)
+    value = scores_at(curves, times, events, ghat, 2.0)[2]
     assert value == pytest.approx(expected, abs=1e-12)
 
 
@@ -206,7 +211,7 @@ def test_brier_event_weight_uses_left_limit():
     ghat = StepFunction(np.array([1.5]), np.array([0.5]))
     # G(1.5-) = 1, so the event subject's weight is exactly 1, not 2
     expected = (0.5 ** 2 * 1.0 + (1 - 0.8) ** 2 / 0.5) / 2.0
-    value, _ = brier_score(SurvivalCurves(grid, surv), times, events, ghat, 2.0)
+    value = scores_at(SurvivalCurves(grid, surv), times, events, ghat, 2.0)[0]
     assert value == pytest.approx(expected, abs=1e-12)
 
 
@@ -217,7 +222,7 @@ def test_brier_trivial_zero_contributions():
     grid = np.array([1.0, 2.0, 5.0])
     surv = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
     ghat = censoring_survival(times, np.array([1, 1]))
-    value, _ = brier_score(SurvivalCurves(grid, surv), times, events, ghat, 2.0)
+    value = scores_at(SurvivalCurves(grid, surv), times, events, ghat, 2.0)[0]
     assert value == 0.0
 
 
@@ -229,7 +234,7 @@ def test_bll_half_prediction():
     grid = np.linspace(0.5, 9.0, 50)
     curves = SurvivalCurves(grid, np.full((n, len(grid)), 0.5))
     ghat = censoring_survival(times, events)
-    assert binomial_log_likelihood(curves, times, events, ghat, 4.2) == \
+    assert scores_at(curves, times, events, ghat, 4.2)[2] == \
         pytest.approx(math.log(0.5), abs=1e-12)
 
 
@@ -251,7 +256,7 @@ def test_horizon_beyond_support_raises():
     curves, times, events, _ = hand_case()
     ghat = StepFunction(np.array([1.5]), np.array([0.0]))
     with pytest.raises(HorizonError):
-        brier_score(curves, times, events, ghat, 2.0)
+        scores_at(curves, times, events, ghat, 2.0)
 
 
 # --- D-calibration ------------------------------------------------------------------------
@@ -452,9 +457,8 @@ def test_metrics_equal_reference_loops_exactly(monkeypatch, grid_from_zero, bloc
                 got = None
             assert got == _ref_c_index(curves, times, events, ghat, horizon)
         for t in (float(times.min()), float(np.median(times)), float(times.max())):
-            expected = _ref_scores(curves, times, events, ghat, t)
-            assert brier_score(curves, times, events, ghat, t) == expected[:2]
-            assert binomial_log_likelihood(curves, times, events, ghat, t) == expected[2]
+            assert scores_at(curves, times, events, ghat, t) == \
+                _ref_scores(curves, times, events, ghat, t)
         _assert_integrals_match_reference(curves, times, events, ghat,
                                           float(np.quantile(times, 0.8)))
 

@@ -31,17 +31,17 @@ def make_model(conditioning, input_dim=2, hidden=(8, 8), activation="tanh",
 def test_lora_with_zero_adapter_is_time_constant():
     model = make_model("lora")
     # freshly initialized adapters have U = 0, so time cannot enter
-    x = np.array([0.4, -1.2])
-    vals = {model.log_hazard(x, t) for t in (0.0, 0.5, 1.7, 9.0)}
-    assert max(vals) - min(vals) < 1e-14
+    x = np.array([[0.4, -1.2]])
+    vals = model.log_hazard_matrix(x, [0.0, 0.5, 1.7, 9.0])
+    assert vals.max() - vals.min() < 1e-14
 
 
 def test_zeroed_final_layer_returns_bias():
     model = make_model("film")
     model.params["head.W"].values[:] = 0.0
     model.params["head.b"].values[:] = 1.75
-    for t in (0.0, 1.0, 3.5):
-        assert abs(model.log_hazard(np.array([1.0, 2.0]), t) - 1.75) < 1e-15
+    vals = model.log_hazard_matrix(np.array([[1.0, 2.0]]), [0.0, 1.0, 3.5])
+    assert np.max(np.abs(vals - 1.75)) < 1e-15
 
 
 def test_hand_constructed_one_layer_net():
@@ -53,18 +53,18 @@ def test_hand_constructed_one_layer_net():
     model.params["backbone.0.b"].values[:] = np.array([0.1, -0.2])
     model.params["head.W"].values[:] = np.array([[3.0, -2.0]])
     model.params["head.b"].values[:] = np.array([0.05])
-    x = np.array([0.7, -0.3])
+    x = np.array([[0.7, -0.3]])
     t = 1.3
     pre = np.array([0.7 * 1.0 + (-0.3) * (-1.0) + 1.3 * 0.5 + 0.1,
                     0.7 * 0.0 + (-0.3) * 2.0 + 1.3 * (-0.25) - 0.2])
     expected = 3.0 * math.tanh(pre[0]) - 2.0 * math.tanh(pre[1]) + 0.05
-    assert abs(model.log_hazard(x, t) - expected) < 1e-12
+    assert abs(model.log_hazard_matrix(x, [[t]])[0, 0] - expected) < 1e-12
 
 
 def test_wrong_covariate_dimension_raises():
     model = make_model("lora")
     with pytest.raises(ShapeError):
-        model.log_hazard(np.array([1.0, 2.0, 3.0]), 1.0)
+        model.log_hazard_matrix(np.array([[1.0, 2.0, 3.0]]), [[1.0]])
     x = np.zeros((3, 2))
     for cond in ("concat", "film", "lora"):
         model = make_model(cond)
@@ -77,35 +77,35 @@ def test_hazard_strictly_positive():
     rng = np.random.default_rng(2)
     for cond in ("concat", "film", "lora"):
         model = make_model(cond, seed=5)
-        for _ in range(20):
-            x = rng.normal(size=2)
-            t = float(rng.uniform(0, 10))
-            assert math.exp(model.log_hazard(x, t)) > 0.0
+        x = rng.normal(size=(20, 2))
+        t = rng.uniform(0, 10, size=(20, 1))
+        assert np.all(np.exp(model.log_hazard_matrix(x, t)) > 0.0)
 
 
 # --- node evaluation and caching --------------------------------------------------
 
 @pytest.mark.parametrize("cond", ["concat", "film", "lora"])
 def test_cached_nodes_match_naive_loop(cond):
+    """The loss's (b, K) node times per subject give the log-hazards of the
+    same times on one shared grid, where every subject sees all b K times."""
     model = make_model(cond, seed=3)
     _randomize(model, seed=13)
     rule = build_rule(12)
     rng = np.random.default_rng(4)
-    for _ in range(5):
-        x = rng.normal(size=2)
-        t = float(rng.uniform(0.1, 5.0))
-        cached = model.log_hazard_at_nodes(x, t, rule)
-        naive = np.array([model.log_hazard(x, t * tau) for tau in rule.unit_nodes])
-        assert np.max(np.abs(cached - naive)) < 1e-12
+    x = rng.normal(size=(5, 2))
+    times = np.outer(rng.uniform(0.1, 5.0, size=5), rule.unit_nodes)
+    per_subject = model.log_hazard_matrix(x, times)
+    shared = model.log_hazard_matrix(x, times.ravel()).reshape(5, 5, -1)
+    assert np.max(np.abs(per_subject - shared[np.arange(5), np.arange(5)])) < 1e-12
 
 
 def test_single_node_rule_equals_log_hazard():
     model = make_model("lora", seed=9)
     rule = build_rule(1)
-    x = np.array([0.2, 0.8])
-    vals = model.log_hazard_at_nodes(x, 1.0, rule)
+    x = np.array([[0.2, 0.8]])
+    vals = model.log_hazard_matrix(x, rule.unit_nodes[None, :])[0]
     assert len(vals) == 1
-    assert abs(vals[0] - model.log_hazard(x, float(rule.unit_nodes[0]))) < 1e-15
+    assert abs(vals[0] - model.log_hazard_matrix(x, rule.unit_nodes)[0, 0]) < 1e-15
 
 
 def _randomize(model, seed):
@@ -144,7 +144,7 @@ def test_neg_log_survival_equals_cumulative_hazard():
     _, _, surv = model.curves(x[None, :], grid, rule)
     for j, t in enumerate(grid):
         lam_int = cumulative_hazard(
-            rule, lambda u: math.exp(model.log_hazard(x, float(u))), t)
+            rule, lambda u: math.exp(model.log_hazard_matrix([x], [[float(u)]])[0, 0]), t)
         assert abs(-math.log(surv[0, j]) - lam_int) < 1e-12
 
 
@@ -159,7 +159,8 @@ def test_hazard_curve_consistency_and_contract():
     # pointwise oracle: the extended-precision K-node sum of exp f
     for j in (3, 11, 19):
         ref = cumulative_hazard(
-            rule, lambda u: math.exp(model.log_hazard(x[0], float(u))), grid[j])
+            rule, lambda u: math.exp(model.log_hazard_matrix(x, [[float(u)]])[0, 0]),
+            grid[j])
         assert abs(ch[j] - ref) < 1e-12
     with pytest.raises(ContractError):
         model.curves(x, grid[::-1], rule)
@@ -228,14 +229,13 @@ def test_heads_coincide_at_zero_modulation():
     film.params["head.b"].values = wf @ b + bf
 
     xs = rng.normal(size=(12, d))
-    ts = rng.uniform(0, 4, size=12)
-    for x, t in zip(xs, ts):
-        f_lora = lora.log_hazard(x, float(t))
-        f_film = film.log_hazard(x, float(t))
-        h = lora._eval_backbone(x[None, :])[0]
-        f_static = float((wf @ (w @ h + b) + bf)[0])  # static reference head
-        assert abs(f_lora - f_static) < 1e-12
-        assert abs(f_film - f_static) < 1e-12
+    ts = rng.uniform(0, 4, size=(12, 1))
+    f_lora = lora.log_hazard_matrix(xs, ts)[:, 0]
+    f_film = film.log_hazard_matrix(xs, ts)[:, 0]
+    h = lora._backbone(lora._constants(), ad.tensor(xs), False, None).values
+    f_static = (h @ w.T + b) @ wf[0] + bf[0]  # static reference head
+    assert np.max(np.abs(f_lora - f_static)) < 1e-12
+    assert np.max(np.abs(f_film - f_static)) < 1e-12
 
 
 def test_film_identity_modulation_is_time_independent():
@@ -244,9 +244,8 @@ def test_film_identity_modulation_is_time_independent():
     film.params["film.gamma.b"].values[:] = 1.0
     film.params["film.beta.W"].values[:] = 0.0
     film.params["film.beta.b"].values[:] = 0.0
-    x = np.array([0.3, 0.9])
-    vals = {film.log_hazard(x, t) for t in (0.0, 1.0, 2.5, 7.0)}
-    assert max(vals) - min(vals) < 1e-14
+    vals = film.log_hazard_matrix(np.array([[0.3, 0.9]]), [0.0, 1.0, 2.5, 7.0])
+    assert vals.max() - vals.min() < 1e-14
 
 
 # --- recorded path equals evaluation path -----------------------------------------------
@@ -258,7 +257,7 @@ def test_recorded_forward_matches_eval_forward(cond):
     rng = np.random.default_rng(3)
     x = rng.normal(size=(4, 2))
     times = rng.uniform(0.05, 3.0, size=(4, 6))
-    recorded = model.forward_times_recorded(x, times, training=False)
+    recorded = model.forward(model.params, x, times, training=False)
     evaluated = model.log_hazard_matrix(x, times)
     assert np.max(np.abs(recorded.values - evaluated)) < 1e-12
 
@@ -322,15 +321,15 @@ def test_factorised_forward_matches_unfactorised_reference(cond, batchnorm,
                        dropout=dropout, time_scale=2.5, seed=15)
     _randomize(model, seed=45)
     reference = copy.deepcopy(model)
-    reference._forward = types.MethodType(_reference_forward, reference)
+    reference.forward = types.MethodType(_reference_forward, reference)
     rng = np.random.default_rng(6)
     x = rng.normal(size=(10, 2))
     times = rng.uniform(0.05, 3.0, size=10)
     events = rng.integers(0, 2, size=10)
     rule = build_rule(5)
 
-    f, f_ref = (m.forward_times_recorded(x, np.outer(times, rule.unit_nodes),
-                                         training=True, rng=np.random.default_rng(7))
+    f, f_ref = (m.forward(m.params, x, np.outer(times, rule.unit_nodes),
+                          training=True, rng=np.random.default_rng(7))
                 for m in (model, reference))
     _assert_rel_close(f.values, f_ref.values)
     losses = []
@@ -356,13 +355,14 @@ def test_lora_node_cost_sublinear_concat_linear():
                       time_embed_dim=16, modulation_hidden=32, seed=0)
     concat = make_model("concat", input_dim=d, hidden=(256,) * 4, seed=0)
     r1, r10 = build_rule(1), build_rule(10)
-    x = np.random.default_rng(0).normal(size=d)
+    x = np.random.default_rng(0).normal(size=(1, d))
 
     def clock(model, rule, reps=30):
-        model.log_hazard_at_nodes(x, 1.0, rule)  # warm up
+        times = rule.unit_nodes[None, :]  # one subject's (1, K) node times
+        model.log_hazard_matrix(x, times)  # warm up
         t0 = time.perf_counter()
         for _ in range(reps):
-            model.log_hazard_at_nodes(x, 1.0, rule)
+            model.log_hazard_matrix(x, times)
         return time.perf_counter() - t0
 
     lora_ratio = clock(lora, r10) / clock(lora, r1)

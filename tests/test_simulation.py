@@ -8,9 +8,9 @@ from scipy.optimize import brentq
 
 from quadsurv.errors import UsageError
 from quadsurv.metrics import kaplan_meier
-from quadsurv.simulation import (FAMILIES, PARAMETRIC_FAMILIES, GeneratorSpec,
-                                 calibrate_censoring, evaluation_grid,
-                                 generate, l1_error, make_truth,
+from quadsurv.simulation import (COEFFICIENTS, FAMILIES, PARAMETRIC_FAMILIES,
+                                 GeneratorSpec, calibrate_censoring,
+                                 evaluation_grid, generate, l1_error, make_truth,
                                  marginalized_curves, poly_link,
                                  sample_covariates, sample_event_times)
 
@@ -122,11 +122,9 @@ def test_scenario2_hazard_at_zero():
 
 
 def test_gamma_shape_stays_above_one():
-    # guards the rejection-sampler regime over the covariate range
     xs = np.linspace(-1, 1, 2001)
-    shape = np.exp(poly_link(xs, [1.8, 0.3, -0.1, 0.05]))
+    shape = np.exp(poly_link(xs, COEFFICIENTS["gamma"]["shape"]))
     assert shape.min() >= 1.0
-    GeneratorSpec(family="gamma")  # constructor runs the same verification
 
 
 # --- censoring calibration -----------------------------------------------------------
