@@ -22,8 +22,6 @@ shape disagreement raises ``ShapeError``.
 
 from __future__ import annotations
 
-import base64
-
 import numpy as np
 from scipy.special import erf, expit
 
@@ -387,24 +385,3 @@ def zero_grad(params) -> None:
     for p in params:
         p.grad = None
 
-
-# --- parameter serialization ------------------------------------------------
-
-def params_to_payload(params: dict) -> dict:
-    """Named float64 arrays as {name: {shape, data}} with base64 payloads."""
-    payload = {}
-    for name, p in params.items():
-        arr = p.values if isinstance(p, Tensor) else np.asarray(p, dtype=np.float64)
-        payload[name] = {
-            "shape": list(arr.shape),
-            "data": base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii"),
-        }
-    return payload
-
-
-def payload_to_arrays(payload: dict) -> dict:
-    arrays = {}
-    for name, entry in payload.items():
-        flat = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8")
-        arrays[name] = flat.reshape(entry["shape"]).astype(np.float64)
-    return arrays

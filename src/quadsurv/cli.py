@@ -9,12 +9,13 @@ content hashes of everything read and written.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import base64
 import csv
 import hashlib
 import json
 import sys
 import time as _time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,14 +23,14 @@ import numpy as np
 from . import __version__
 from . import metrics as mx
 from .data import Standardizer, load_covariates, load_csv, save_csv
-from .errors import IngestionError, QuadSurvError, ShapeError, UsageError
-from .model import FittedModel, HazardModel
+from .errors import (DataError, DegenerateDataError, IngestionError,
+                     QuadSurvError, UsageError)
+from .model import FittedModel, HazardModel, ModelConfig, config_from_dict
 from .quadrature import build_rule
 from .simulation import (FAMILIES, GeneratorSpec, evaluation_grid, generate,
                          l1_error, marginalized_curves)
 from .training import (SearchSpace, TrainingConfig, random_search, train,
                        write_log_ndjson)
-from . import autodiff as ad
 
 SCHEMA_VERSION = 1
 
@@ -74,46 +75,62 @@ def _write_manifest(out_dir: Path, command: str, seed, config_payload,
     _write_json(out_dir / "manifest.json", manifest)
 
 
-def _write_checkpoint(path: Path, result, columns) -> None:
-    arch = result.model.config.as_dict()
-    arch["k_nodes"] = result.config.k_nodes
-    payload = {
+def _write_checkpoint(path: Path, fitted: FittedModel, columns) -> None:
+    """Write ``fitted`` and its covariate names; ``load_checkpoint`` is the
+    inverse.  Arrays are base64 little-endian float64."""
+    _write_json(path, {
         "schema_version": SCHEMA_VERSION,
-        "architecture": arch,
-        "standardization": {**result.scaler.as_dict(), "columns": list(columns)},
-        "params": ad.params_to_payload(result.model.state_arrays()),
-    }
-    _write_json(path, payload)
+        "architecture": {**asdict(fitted.model.config), "k_nodes": fitted.rule.order},
+        "standardization": {"mean": fitted.scaler.mean.tolist(),
+                            "scale": fitted.scaler.scale.tolist(),
+                            "columns": list(columns)},
+        "params": {name: {"shape": list(a.shape),
+                          "data": base64.b64encode(a.astype("<f8").tobytes()).decode()}
+                   for name, a in fitted.model.state_arrays().items()},
+    })
 
 
 def load_checkpoint(path):
-    """Rebuild a FittedModel (model, rule, scaler) from a checkpoint file.
+    """The (FittedModel, covariate names) that ``_write_checkpoint`` wrote.
 
-    A file that is not JSON, lacks a section or an entry, holds a value the
-    model rejects or a parameter of the wrong shape, or standardizes a
-    number of columns other than the model's input width is a data error:
-    the file, not a flag, is at fault.
+    Any fault of the file is a data error naming it: not JSON; a missing
+    section or entry; an architecture field that is missing, unknown or
+    rejected; a parameter or batch-norm moment that is missing, unknown, of
+    another shape or not finite; a column list, means or scales that are not
+    1-d of the model's input width; columns that are not distinct names; a
+    mean or scale that is not finite, or a scale that is not positive.
     """
     try:
         with open(path) as fh:
             payload = json.load(fh)
         arch = dict(payload["architecture"])
         rule = build_rule(arch.pop("k_nodes"))
-        arrays = ad.payload_to_arrays(payload["params"])
-        model = HazardModel.from_architecture(arch, arrays)
-        scaler = Standardizer.from_dict(payload["standardization"])
-        columns = tuple(payload["standardization"]["columns"])
-        widths = (len(columns), len(scaler.mean), len(scaler.scale))
-        if widths != (model.config.input_dim,) * 3:
-            raise IngestionError(
-                f"{path}: standardization has {widths[0]} columns, {widths[1]} means "
-                f"and {widths[2]} scales; the model's input width is "
-                f"{model.config.input_dim}")
+        model = HazardModel(config_from_dict(ModelConfig, arch, complete=True),
+                            np.random.default_rng(0))
+        model.load_state_arrays({
+            name: np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8")
+            .reshape(entry["shape"]) for name, entry in payload["params"].items()})
+        std = payload["standardization"]
+        columns = tuple(std["columns"])
+        mean, scale = (np.asarray(std[k], dtype=np.float64) for k in ("mean", "scale"))
     except KeyError as err:
         raise IngestionError(f"{path}: checkpoint has no entry {err}") from None
-    except (OSError, TypeError, ValueError, UsageError, ShapeError) as err:
+    except (OSError, AttributeError, TypeError, ValueError, UsageError,
+            DataError) as err:
         raise IngestionError(f"{path}: not a valid checkpoint: {err}") from None
-    return FittedModel(model=model, rule=rule, scaler=scaler), columns
+    d = model.config.input_dim
+    if (len(columns), mean.shape, scale.shape) != (d, (d,), (d,)):
+        raise IngestionError(
+            f"{path}: standardization has {len(columns)} columns, means of shape "
+            f"{mean.shape} and scales of shape {scale.shape}; the model's input "
+            f"width is {d}")
+    if not all(isinstance(c, str) for c in columns) or len(set(columns)) != d:
+        raise IngestionError(f"{path}: standardization columns must be distinct "
+                             f"names, got {list(columns)}")
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(scale)) and np.all(scale > 0)):
+        raise IngestionError(f"{path}: standardization means must be finite "
+                             f"and scales finite and positive")
+    return FittedModel(model, rule, Standardizer(mean, scale)), columns
 
 
 def _read_json_object(path, parse):
@@ -278,9 +295,8 @@ def cmd_sweep_nodes(args) -> int:
         cfg = TrainingConfig(seed=seed, k_nodes=k, **base)
         try:
             result = train(cfg, sim.train)
-            fitted = FittedModel(result.model, result.rule, result.scaler)
             grid = evaluation_grid(sim.train.time)
-            err_s, err_ch, err_h = l1_error(fitted, sim.truth, sim.test.x, grid)
+            err_s, err_ch, err_h = l1_error(result, sim.truth, sim.test.x, grid)
             return (args.family, k, seed, err_s, err_ch, err_h,
                     result.wall_clock, "")
         except QuadSurvError as err:
@@ -309,7 +325,6 @@ def cmd_hpo(args) -> int:
         space, args.trials, data, base_config=base)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_checkpoint(out / "checkpoint.json", best_res, data.columns)
     rows = [(r.index, len(r.sample["hidden"]), r.sample["hidden"][0],
              r.sample["learning_rate"], r.sample["weight_decay"],
              r.sample["dropout"], r.sample["batch_size"], r.sample["batchnorm"],
@@ -320,6 +335,13 @@ def cmd_hpo(args) -> int:
                 ["trial", "n_layers", "hidden", "learning_rate", "weight_decay",
                  "dropout", "batch_size", "batchnorm", "val_ctd", "val_ibs",
                  "error"], rows)
+    if best_res is None:
+        errors = [r.error for r in records if r.error is not None]
+        first = f" (first: {errors[0]})" if errors else ""
+        raise DegenerateDataError(
+            f"no search trial has a validation C_td: {len(errors)} of {args.trials} "
+            f"raised an error{first}, {args.trials - len(errors)} had an undefined C_td")
+    _write_checkpoint(out / "checkpoint.json", best_res, data.columns)
     _write_manifest(out, "hpo", args.seed,
                     {"space": space_payload, "trials": args.trials},
                     [args.space, args.train_csv],

@@ -184,13 +184,6 @@ class Standardizer:
     def transform(self, x):
         return (np.asarray(x, dtype=np.float64) - self.mean) / self.scale
 
-    def as_dict(self):
-        return {"mean": self.mean.tolist(), "scale": self.scale.tolist()}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(mean=d["mean"], scale=d["scale"])
-
 
 def stratified_split(data: SurvivalData, val_fraction: float, rng):
     """Index split stratified by the event indicator.

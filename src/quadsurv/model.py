@@ -31,7 +31,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ContractError, ShapeError, UsageError
+from .data import Standardizer
+from .errors import ContractError, DataError, ShapeError, UsageError
 from .quadrature import QuadratureRule
 
 CONDITIONING_KINDS = ("concat", "film", "lora")
@@ -142,16 +143,6 @@ class ModelConfig(Architecture):
     RANGES = {**Architecture.RANGES,
               "input_dim": (lambda v: v >= 1, "input_dim must be >= 1, got {}"),
               "time_scale": (lambda v: v > 0, "time_scale must be positive, got {}")}
-
-    def as_dict(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        d["hidden"] = list(self.hidden)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        """Inverse of ``as_dict``; every field must be present and no other."""
-        return config_from_dict(cls, d, complete=True)
 
 
 def _glorot(rng, d_out, d_in):
@@ -350,9 +341,11 @@ class HazardModel:
             cumhaz[:, start:start + m] = (block / 2.0) * (lam_nodes @ rule.weights)
         return lam, cumhaz, np.exp(-cumhaz)
 
-    # --- serialization ---------------------------------------------------
+    # --- state -------------------------------------------------------------
 
     def state_arrays(self) -> dict[str, np.ndarray]:
+        """The parameters and batch-norm moments by name: the model's own
+        arrays, not copies."""
         arrays = {name: p.values for name, p in self.params.items()}
         for i, st in enumerate(self.bn_states):
             arrays[f"backbone.{i}.bn.running_mean"] = st.running_mean
@@ -360,29 +353,25 @@ class HazardModel:
         return arrays
 
     def load_state_arrays(self, arrays: dict) -> None:
-        for name, p in self.params.items():
-            if name not in arrays:
-                raise ShapeError(f"checkpoint is missing parameter {name!r}")
+        """Copy ``arrays`` into the model's own arrays, entry by entry.
+
+        The names must be exactly those of ``state_arrays()``, and each array
+        of the same shape (else ShapeError) and finite (else DataError); the
+        error names the entry.  This is the one check of stored state.
+        """
+        state = self.state_arrays()
+        missing, unknown = sorted(state.keys() - arrays), sorted(arrays.keys() - state)
+        if missing or unknown:
+            raise ShapeError(f"state entries do not match the model: missing "
+                             f"{missing}, unknown {unknown}")
+        for name, current in state.items():
             arr = np.asarray(arrays[name], dtype=np.float64)
-            if arr.shape != p.values.shape:
+            if arr.shape != current.shape:
                 raise ShapeError(
-                    f"parameter {name!r} has shape {arr.shape}, expected {p.values.shape}")
-            p.values = arr.copy()
-        for i, st in enumerate(self.bn_states):
-            st.running_mean = np.asarray(arrays[f"backbone.{i}.bn.running_mean"],
-                                         dtype=np.float64).copy()
-            st.running_var = np.asarray(arrays[f"backbone.{i}.bn.running_var"],
-                                        dtype=np.float64).copy()
-
-    def copy_state(self) -> dict[str, np.ndarray]:
-        return {k: v.copy() for k, v in self.state_arrays().items()}
-
-    @classmethod
-    def from_architecture(cls, arch: dict, arrays: dict | None = None) -> "HazardModel":
-        model = cls(ModelConfig.from_dict(arch), np.random.default_rng(0))
-        if arrays is not None:
-            model.load_state_arrays(arrays)
-        return model
+                    f"state entry {name!r} has shape {arr.shape}, expected {current.shape}")
+            if not np.all(np.isfinite(arr)):
+                raise DataError(f"state entry {name!r} has non-finite values")
+            current[...] = arr
 
 
 @dataclass
@@ -395,16 +384,13 @@ class FittedModel:
 
     model: HazardModel
     rule: QuadratureRule
-    scaler: object = None
+    scaler: Standardizer
 
-    def _standardize(self, x_raw):
+    def curves_matrix(self, x_raw, grid):
         x = np.asarray(x_raw, dtype=np.float64)
         if x.ndim == 1:
             x = x[:, None]
-        return self.scaler.transform(x) if self.scaler is not None else x
-
-    def curves_matrix(self, x_raw, grid):
-        return self.model.curves(self._standardize(x_raw), grid, self.rule)
+        return self.model.curves(self.scaler.transform(x), grid, self.rule)
 
     def survival_matrix(self, x_raw, grid):
         return self.curves_matrix(x_raw, grid)[2]

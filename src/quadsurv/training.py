@@ -25,8 +25,8 @@ from . import metrics as mx
 from .data import Standardizer, SurvivalData, stratified_split
 from .errors import (ContractError, DegenerateDataError, NumericDomainError,
                      UsageError)
-from .model import (Architecture, HazardModel, ModelConfig, check_types,
-                    config_from_dict)
+from .model import (Architecture, FittedModel, HazardModel, ModelConfig,
+                    check_types, config_from_dict)
 from .quadrature import MAX_ORDER, QuadratureRule, build_rule
 
 SCHEMA_VERSION = 1
@@ -209,10 +209,9 @@ def clip_gradients(grads: dict, max_norm: float) -> bool:
 # --- training loop -------------------------------------------------------------
 
 @dataclass
-class TrainResult:
-    model: HazardModel
-    scaler: Standardizer
-    rule: QuadratureRule
+class TrainResult(FittedModel):
+    """The fitted model of a run, with its config, per-epoch log and outcome."""
+
     config: TrainingConfig
     log: list = field(default_factory=list)
     best_epoch: int = -1
@@ -320,7 +319,8 @@ def train(config: TrainingConfig, dataset: SurvivalData) -> TrainResult:
         else:
             better, new_key = False, best["key"]
         if better:
-            best.update(key=new_key, state=model.copy_state(), epoch=epoch,
+            best.update(key=new_key, epoch=epoch,
+                        state={k: v.copy() for k, v in model.state_arrays().items()},
                         ctd=val_ctd, ibs=val_ibs)
 
     if best["state"] is not None:
@@ -328,7 +328,7 @@ def train(config: TrainingConfig, dataset: SurvivalData) -> TrainResult:
     # on divergence with no completed epoch, the current parameters are the
     # last finite snapshot: the failing step raised before its update
 
-    return TrainResult(model=model, scaler=scaler, rule=rule, config=config,
+    return TrainResult(model=model, rule=rule, scaler=scaler, config=config,
                        log=log, best_epoch=best["epoch"], best_val_ctd=best["ctd"],
                        abort_reason=abort_reason,
                        wall_clock=_time.perf_counter() - t_start)
@@ -420,7 +420,9 @@ def random_search(space: SearchSpace, trials: int, dataset: SurvivalData,
 
     Ties on C_td break toward the lower validation integrated Brier score.
     A failing trial, including one whose sampled architecture the model
-    rejects, is recorded with its error and skipped.
+    rejects, is recorded with its error and skipped.  Returns the best
+    record, its result and every record; the first two are None when no
+    trial has a validation C_td.
     """
     if trials < 1:
         raise UsageError(f"trials must be >= 1, got {trials}")
@@ -442,12 +444,6 @@ def random_search(space: SearchSpace, trials: int, dataset: SurvivalData,
         if rec.val_ctd is not None and (
                 best_rec is None or trial_sort_key(rec) > trial_sort_key(best_rec)):
             best_rec, best_res = rec, res
-    if best_res is None:
-        errors = [r.error for r in records if r.error is not None]
-        first = f" (first: {errors[0]})" if errors else ""
-        raise DegenerateDataError(
-            f"no search trial has a validation C_td: {len(errors)} of {trials} "
-            f"raised an error{first}, {trials - len(errors)} had an undefined C_td")
     return best_rec, best_res, records
 
 

@@ -15,7 +15,7 @@ from scipy.stats import spearmanr
 from quadsurv import autodiff as ad
 from quadsurv import metrics as mx
 from quadsurv.data import SurvivalData
-from quadsurv.model import FittedModel, HazardModel, ModelConfig
+from quadsurv.model import HazardModel, ModelConfig
 from quadsurv.quadrature import (build_rule, cumulative_hazard,
                                  cumulative_hazard_hp, error_bound)
 from quadsurv.simulation import (GeneratorSpec, evaluation_grid, generate,
@@ -164,9 +164,8 @@ def test_criterion_05_weibull_hazard_replication():
         cfg = TrainingConfig(seed=seed, k_nodes=15, **SIM_PROTOCOL)
         res = train(cfg, sim.train)
         assert res.wall_clock <= 60.0, f"seed {seed} took {res.wall_clock:.0f}s"
-        fitted = FittedModel(res.model, res.rule, res.scaler)
         grid = evaluation_grid(sim.train.time)
-        _, _, err_lam = l1_error(fitted, sim.truth, sim.test.x[:, 0], grid)
+        _, _, err_lam = l1_error(res, sim.truth, sim.test.x[:, 0], grid)
         errors.append(err_lam)
         walls.append(res.wall_clock)
     mean_err = float(np.mean(errors))
@@ -189,8 +188,7 @@ def test_criterion_06_node_count_study():
         for k in ks:
             cfg = TrainingConfig(seed=seed, k_nodes=k, **SIM_PROTOCOL)
             res = train(cfg, sim.train)
-            fitted = FittedModel(res.model, res.rule, res.scaler)
-            _, _, err_lam = l1_error(fitted, sim.truth, sim.test.x[:, 0], grid)
+            _, _, err_lam = l1_error(res, sim.truth, sim.test.x[:, 0], grid)
             iae[k].append(err_lam)
             walls[k].append(res.wall_clock)
     mean_iae = {k: float(np.mean(iae[k])) for k in ks}
@@ -216,9 +214,8 @@ def test_criterion_07_crossing_hazard_recovery():
         sim = generate(GeneratorSpec(family="scenario1"), seed)
         cfg = TrainingConfig(seed=seed, k_nodes=10, **SIM_PROTOCOL)
         res = train(cfg, sim.train)
-        fitted = FittedModel(res.model, res.rule, res.scaler)
         grid = np.linspace(0.05, 1.5, 146)
-        lam, _, _ = fitted.curves_matrix(np.array([0.0, 1.0]), grid)
+        lam, _, _ = res.curves_matrix(np.array([0.0, 1.0]), grid)
         diff = lam[1] - lam[0]
         sign_change = np.where(np.diff(np.sign(diff)) != 0)[0]
         t_cross = float(grid[sign_change[0]]) if len(sign_change) else None

@@ -367,7 +367,7 @@ def test_dropout_scales_surviving_units():
     assert abs(out.values.mean() - 1.0) < 0.05
 
 
-# --- determinism and serialization --------------------------------------------------
+# --- determinism -------------------------------------------------------------------
 
 def test_forward_backward_bit_deterministic():
     def run():
@@ -382,15 +382,3 @@ def test_forward_backward_bit_deterministic():
     (l1, g1), (l2, g2) = run(), run()
     assert np.array_equal(l1, l2)
     assert np.array_equal(g1, g2)
-
-
-def test_payload_roundtrip_exact():
-    rng = np.random.default_rng(5)
-    params = {"layer.W": ad.parameter(rng.normal(size=(3, 2))),
-              "layer.b": ad.parameter(rng.normal(size=3))}
-    payload = ad.params_to_payload(params)
-    back = ad.payload_to_arrays(payload)
-    for name in params:
-        assert np.array_equal(back[name], params[name].values)
-    assert payload["layer.W"]["shape"] == [3, 2]
-    assert isinstance(payload["layer.W"]["data"], str)

@@ -1,5 +1,6 @@
 """End-to-end command pipelines, exit codes, reproducibility."""
 
+import base64
 import csv
 import hashlib
 import json
@@ -16,7 +17,7 @@ from quadsurv.data import Standardizer, load_csv
 from quadsurv.model import FittedModel, HazardModel, ModelConfig
 from quadsurv.quadrature import build_rule
 from quadsurv.simulation import GeneratorSpec, generate, evaluation_grid, l1_error
-from quadsurv.training import TrainResult, TrainingConfig, train
+from quadsurv.training import TrainingConfig, train
 
 TINY_CONFIG = {
     "k_nodes": 4, "hidden": [8], "rank": 2, "time_embed_dim": 4,
@@ -387,25 +388,55 @@ def test_checkpoint_architecture_keys_must_match_exit_3(tmp_path, sim_dir, train
     assert key in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("damage", ["not json", "architecture", "standardization",
-                                    "params", "k_nodes=0", "columns+1", "mean+1",
-                                    "scale+1", "k_nodes=3.7", "hidden=[8.9]",
-                                    'batchnorm="no"', "batchnorm=true"])
+def _f8(values):
+    """A params entry holding ``values``, encoded as the writer encodes them."""
+    arr = np.asarray(values, dtype="<f8")
+    return {"shape": list(arr.shape), "data": base64.b64encode(arr.tobytes()).decode()}
+
+
+def _setter(section, key, value):
+    return lambda payload: payload[section].__setitem__(key, value)
+
+
+CHECKPOINT_DAMAGE = {
+    "architecture": lambda payload: payload.pop("architecture"),
+    "standardization": lambda payload: payload.pop("standardization"),
+    "params": lambda payload: payload.pop("params"),
+    "k_nodes=0": _setter("architecture", "k_nodes", 0),
+    "columns+1": lambda payload: payload["standardization"]["columns"].append("x2"),
+    "mean+1": lambda payload: payload["standardization"]["mean"].append(1.0),
+    "scale+1": lambda payload: payload["standardization"]["scale"].append(1.0),
+    "k_nodes=3.7": _setter("architecture", "k_nodes", 3.7),
+    "hidden=[8.9]": _setter("architecture", "hidden", [8.9]),
+    'batchnorm="no"': _setter("architecture", "batchnorm", "no"),
+    "batchnorm=true": _setter("architecture", "batchnorm", True),
+    # on a batch-norm checkpoint; unchecked, a running mean of shape [1] broadcasts
+    "running_mean=[1]": _setter("params", "backbone.0.bn.running_mean", _f8([0.5])),
+    # on a two-input checkpoint; unchecked, both inputs read column x
+    "columns=[x,x]": _setter("standardization", "columns", ["x", "x"]),
+    "columns=[1]": _setter("standardization", "columns", [1]),
+    "params.extra": _setter("params", "extra.W", _f8([0.0])),
+    "params=[]": lambda payload: payload.__setitem__("params", []),
+    "head.b=nan": _setter("params", "head.b", _f8([math.nan])),
+    "scale=0": _setter("standardization", "scale", [0.0]),
+    "scale<0": _setter("standardization", "scale", [-1.0]),
+    "mean=nan": _setter("standardization", "mean", [math.nan]),
+}
+
+
+@pytest.mark.parametrize("damage", ["not json", *CHECKPOINT_DAMAGE])
 def test_malformed_checkpoint_exit_3(tmp_path, sim_dir, trained, capsys, damage):
+    source = trained
+    columns = {"running_mean=[1]": ("x",), "columns=[x,x]": ("x", "z")}.get(damage)
+    if columns:
+        source = tmp_path / "batchnorm.json"
+        cli._write_checkpoint(source, _random_fit("lora", True, 2.0, 0, columns), columns)
     bad = tmp_path / "checkpoint.json"
-    payload = json.loads(trained.read_text())
     if damage == "not json":
-        bad.write_text(trained.read_text()[:-20])
-    elif "=" in damage:
-        key, value = damage.split("=")
-        payload["architecture"][key] = json.loads(value)
-        bad.write_text(json.dumps(payload))
-    elif damage.endswith("+1"):
-        entry = payload["standardization"][damage[:-2]]
-        entry.append("x2" if damage == "columns+1" else 1.0)
-        bad.write_text(json.dumps(payload))
+        bad.write_text(source.read_text()[:-20])
     else:
-        del payload[damage]
+        payload = json.loads(source.read_text())
+        CHECKPOINT_DAMAGE[damage](payload)
         bad.write_text(json.dumps(payload))
     capsys.readouterr()
     assert run(["evaluate", bad, sim_dir / "test.csv", sim_dir / "train.csv",
@@ -424,9 +455,9 @@ def test_malformed_checkpoint_exit_3(tmp_path, sim_dir, trained, capsys, damage)
 COVARIATES = ("age", "dose", "z")
 
 
-def _random_fit(head, batchnorm, time_scale, seed):
+def _random_fit(head, batchnorm, time_scale, seed, columns=COVARIATES):
     rng = np.random.default_rng(seed)
-    cfg = ModelConfig(input_dim=len(COVARIATES), hidden=(6,), activation="tanh",
+    cfg = ModelConfig(input_dim=len(columns), hidden=(6,), activation="tanh",
                       conditioning=head, rank=2, time_embed_dim=4,
                       modulation_hidden=4, batchnorm=batchnorm, time_scale=time_scale)
     model = HazardModel(cfg, rng)
@@ -435,8 +466,8 @@ def _random_fit(head, batchnorm, time_scale, seed):
     for state in model.bn_states:
         state.running_mean = rng.normal(size=state.running_mean.shape)
         state.running_var = rng.uniform(0.5, 2.0, size=state.running_var.shape)
-    scaler = Standardizer(mean=rng.normal(size=len(COVARIATES)),
-                          scale=rng.uniform(0.5, 2.0, size=len(COVARIATES)))
+    scaler = Standardizer(mean=rng.normal(size=len(columns)),
+                          scale=rng.uniform(0.5, 2.0, size=len(columns)))
     return FittedModel(model, build_rule(5), scaler)
 
 
@@ -468,9 +499,10 @@ def test_checkpoint_and_csv_roundtrip_through_cli(head, batchnorm, time_scale, s
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         checkpoint = tmp / "checkpoint.json"
-        cli._write_checkpoint(checkpoint, TrainResult(
-            fitted.model, fitted.scaler, fitted.rule, TrainingConfig(k_nodes=5)),
-            COVARIATES)
+        cli._write_checkpoint(checkpoint, fitted, COVARIATES)
+        again = tmp / "again.json"
+        cli._write_checkpoint(again, *cli.load_checkpoint(checkpoint))
+        assert again.read_bytes() == checkpoint.read_bytes()
         files = {}
         for name, cols in (("data", header), ("shuffled", shuffled),
                            ("renamed", ["w" if c == "dose" else c for c in shuffled])):
@@ -500,6 +532,22 @@ def test_checkpoint_and_csv_roundtrip_through_cli(head, batchnorm, time_scale, s
                     "--out", tmp / "renamed.json"]) == 3
 
 
+def test_payload_roundtrip_exact(tmp_path):
+    fitted = _random_fit("lora", True, 2.0, seed=5)
+    path = tmp_path / "checkpoint.json"
+    cli._write_checkpoint(path, fitted, COVARIATES)
+    entry = json.loads(path.read_text())["params"]["lora.V"]
+    assert entry["shape"] == [2, 6]
+    assert isinstance(entry["data"], str)
+    back, columns = cli.load_checkpoint(path)
+    assert columns == COVARIATES
+    assert back.rule.order == fitted.rule.order
+    for name, arr in fitted.model.state_arrays().items():
+        assert np.array_equal(back.model.state_arrays()[name], arr)
+    assert np.array_equal(back.scaler.mean, fitted.scaler.mean)
+    assert np.array_equal(back.scaler.scale, fitted.scaler.scale)
+
+
 # --- sweep and hpo ----------------------------------------------------------------------
 
 def test_sweep_single_cell_matches_train_evaluate_composition(tmp_path):
@@ -516,9 +564,8 @@ def test_sweep_single_cell_matches_train_evaluate_composition(tmp_path):
     protocol["max_epochs"] = 3
     cfg = TrainingConfig(seed=1, k_nodes=3, **protocol)
     res = train(cfg, sim.train)
-    fitted = FittedModel(res.model, res.rule, res.scaler)
     grid = evaluation_grid(sim.train.time)
-    err_s, err_ch, err_h = l1_error(fitted, sim.truth, sim.test.x[:, 0], grid)
+    err_s, err_ch, err_h = l1_error(res, sim.truth, sim.test.x[:, 0], grid)
     assert float(row["iae_survival"]) == pytest.approx(err_s, abs=1e-15)
     assert float(row["iae_cumhaz"]) == pytest.approx(err_ch, abs=1e-15)
     assert float(row["iae_hazard"]) == pytest.approx(err_h, abs=1e-15)
@@ -549,6 +596,27 @@ def test_hpo_single_trial(tmp_path, sim_dir):
     assert len(rows) == 1
     assert rows[0]["error"] == ""
     assert (out / "checkpoint.json").exists()
+
+
+def test_hpo_without_a_selectable_trial_writes_trials_exit_3(tmp_path, sim_dir,
+                                                            capsys):
+    # three subjects leave one for validation: both trials train without an
+    # error, but neither has a validation C_td, so no trial can be selected
+    lines = (sim_dir / "train.csv").read_text().splitlines()
+    tiny = tmp_path / "tiny.csv"
+    tiny.write_text("\n".join(lines[:4]) + "\n")
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"n_layers": [2], "hidden": [16], "batch_size": [32],
+                                 "dropout": [0.0], "batchnorm": [False]}))
+    out = tmp_path / "hpo"
+    capsys.readouterr()
+    assert run(["hpo", space, tiny, "--trials", 2, "--epochs", 1, "--out", out]) == 3
+    assert "0 of 2 raised an error, 2 had an undefined C_td" in capsys.readouterr().err
+    with open(out / "trials.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["trial"], r["hidden"], r["val_ctd"], r["error"]) for r in rows] == [
+        ("0", "16", "", ""), ("1", "16", "", "")]
+    assert not (out / "checkpoint.json").exists()
 
 
 def test_hpo_respects_default_space(tmp_path, sim_dir):

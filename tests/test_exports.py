@@ -1,4 +1,5 @@
-"""Every exported name and every name the README imports must resolve."""
+"""Every exported name, every name the README imports and every function
+the traced benchmark wraps must resolve."""
 
 import ast
 import importlib
@@ -7,7 +8,8 @@ from pathlib import Path
 
 import quadsurv
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_all_names_resolve():
@@ -25,3 +27,15 @@ def test_readme_imports_resolve():
     missing = [f"{module}.{name}" for module, name in imports
                if not hasattr(importlib.import_module(module), name)]
     assert missing == []
+
+
+def test_benchmark_spans_install(monkeypatch):
+    # the traced benchmark run patches functions by name; a renamed or deleted
+    # one fails here instead of in the benchmark
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    layers = importlib.import_module("layers")
+    tracer = importlib.import_module("tracer").Tracer()
+    try:
+        layers.install_spans(tracer)
+    finally:
+        tracer.unpatch_all()

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from quadsurv import autodiff as ad
+from quadsurv import cli
 from quadsurv import model as model_module
-from quadsurv.errors import ContractError, ShapeError
+from quadsurv.data import Standardizer
+from quadsurv.errors import ContractError, DataError, ShapeError
 from quadsurv.model import FittedModel, HazardModel, ModelConfig
 from quadsurv.quadrature import build_rule, cumulative_hazard
 from quadsurv.training import nll_loss
@@ -371,17 +373,18 @@ def test_lora_node_cost_sublinear_concat_linear():
     assert concat_ratio > lora_ratio
 
 
-# --- serialization -------------------------------------------------------------------------
+# --- stored state ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("cond", ["concat", "film", "lora"])
-def test_state_roundtrip_preserves_predictions(cond):
+def test_state_roundtrip_preserves_predictions(tmp_path, cond):
     # concat divides time by time_scale, so only a scale != 1 shows it dropped
     for time_scale in (1.0, 2.5):
         model = make_model(cond, seed=4, batchnorm=True, time_scale=time_scale)
         _randomize(model, seed=7)
-        arch = model.config.as_dict()
-        arrays = model.copy_state()
-        clone = HazardModel.from_architecture(arch, arrays)
+        path = tmp_path / "checkpoint.json"
+        scaler = Standardizer(np.zeros(2), np.ones(2))
+        cli._write_checkpoint(path, FittedModel(model, build_rule(5), scaler), ("a", "b"))
+        clone = cli.load_checkpoint(path)[0].model
         assert clone.config == model.config
         rng = np.random.default_rng(8)
         x = rng.normal(size=(5, 2))
@@ -390,12 +393,38 @@ def test_state_roundtrip_preserves_predictions(cond):
                                       clone.log_hazard_matrix(x, times))
 
 
+def _state_copy(model):
+    return {k: v.copy() for k, v in model.state_arrays().items()}
+
+
 def test_checkpoint_shape_mismatch_detected():
-    model = make_model("lora")
-    arrays = model.copy_state()
+    arrays = _state_copy(make_model("lora"))
     arrays["head.W"] = np.zeros((2, 2))
     with pytest.raises(ShapeError):
-        HazardModel.from_architecture(model.config.as_dict(), arrays)
+        make_model("lora").load_state_arrays(arrays)
+
+
+def test_load_state_arrays_checks_names_moments_and_values():
+    source = make_model("film", batchnorm=True, seed=1)
+    _randomize(source, seed=2)
+    target = make_model("film", batchnorm=True, seed=3)
+    target.load_state_arrays(source.state_arrays())
+    for name, arr in source.state_arrays().items():
+        np.testing.assert_array_equal(target.state_arrays()[name], arr)
+
+    arrays = _state_copy(source)
+    arrays["backbone.1.bn.running_mean"] = np.zeros(1)
+    with pytest.raises(ShapeError, match="running_mean.*expected \\(8,\\)"):
+        target.load_state_arrays(arrays)
+    arrays = _state_copy(source)
+    del arrays["head.b"]
+    arrays["extra.W"] = np.zeros(1)
+    with pytest.raises(ShapeError, match="missing \\['head.b'\\], unknown \\['extra.W'\\]"):
+        target.load_state_arrays(arrays)
+    arrays = _state_copy(source)
+    arrays["film.h.b"][0] = np.nan
+    with pytest.raises(DataError, match="'film.h.b' has non-finite values"):
+        target.load_state_arrays(arrays)
 
 
 def test_fitted_model_wraps_standardization():

@@ -14,7 +14,7 @@ from quadsurv import autodiff as ad
 from quadsurv import metrics as mx
 from quadsurv.data import SurvivalData
 from quadsurv.errors import DegenerateDataError, NumericDomainError, UsageError
-from quadsurv.model import FittedModel, HazardModel, ModelConfig
+from quadsurv.model import HazardModel, ModelConfig
 from quadsurv.quadrature import build_rule
 from quadsurv.simulation import (GeneratorSpec, evaluation_grid, generate,
                                  l1_error)
@@ -356,9 +356,8 @@ def test_scenario1_hazard_recovery():
     sim = generate(GeneratorSpec(family="scenario1"), 0)
     cfg = TrainingConfig(seed=0, k_nodes=10)
     res = train(cfg, sim.train)
-    fitted = FittedModel(res.model, res.rule, res.scaler)
     grid = evaluation_grid(sim.train.time)
-    _, _, err_lam = l1_error(fitted, sim.truth, sim.test.x[:, 0], grid)
+    _, _, err_lam = l1_error(res, sim.truth, sim.test.x[:, 0], grid)
     assert err_lam < 0.10
 
 
@@ -371,9 +370,8 @@ def test_uninformative_covariate_exponential_rate_recovery():
     mle = n / t.sum()
     cfg = TrainingConfig(seed=0, k_nodes=10, max_epochs=100, **SIM_KW)
     res = train(cfg, data)
-    fitted = FittedModel(res.model, res.rule, res.scaler)
     grid = np.linspace(0.1, 1.0, 40)
-    lam, _, _ = fitted.curves_matrix(np.zeros((1, 1)), grid)
+    lam, _, _ = res.curves_matrix(np.zeros((1, 1)), grid)
     assert abs(mle - 1.0) < 0.1  # oracle sanity
     assert np.max(np.abs(lam[0] - 1.0)) < 0.1
 
@@ -434,10 +432,11 @@ def test_failed_trials_are_recorded_and_skipped():
     space = SearchSpace(n_layers=(2,), hidden=(16,), batch_size=(32,),
                         dropout=(0.0,), batchnorm=(False,))
     base = TrainingConfig(max_epochs=1, k_nodes=4, val_grid_points=16)
-    data = small_dataset(n=3)
-    with pytest.raises(DegenerateDataError,
-                       match="0 of 2 raised an error, 2 had an undefined C_td"):
-        random_search(space, 2, data, base_config=base)
+    best_rec, best_res, records = random_search(space, 2, small_dataset(n=3),
+                                                base_config=base)
+    assert best_rec is None and best_res is None
+    assert [(r.index, r.val_ctd, r.error) for r in records] == [(0, None, None),
+                                                                 (1, None, None)]
 
 
 def test_rejected_architecture_is_a_failed_trial():
