@@ -179,9 +179,8 @@ def cmd_simulate(args) -> int:
 
     grid = evaluation_grid(sim.train.time)
     rows = []
-    groups = [("x=0", np.zeros(1)), ("x=1", np.ones(1))] if spec.is_scenario else []
-    for name, xs in groups:
-        lam, ch, s = sim.truth.curves_matrix(xs, grid)
+    for name, row in sim.truth.entry.groups:
+        lam, ch, s = sim.truth.curves_matrix(np.array([row]), grid)
         rows.extend((t, l, c, sv, name) for t, l, c, sv
                     in zip(grid, lam[0], ch[0], s[0]))
     mlam, mch, ms = marginalized_curves(sim.truth, sim.train.x, grid)
@@ -373,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-train", type=int, default=2000)
     p.add_argument("--n-test", type=int, default=2000)
-    p.add_argument("--censoring", type=float, default=0.2)
+    p.add_argument("--censoring", type=float, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_simulate)
 

@@ -191,11 +191,6 @@ def stratified_split(data: SurvivalData, val_fraction: float, rng):
     Guarantees at least one event in the validation part whenever the data
     contains two or more events.
     """
-    n = len(data)
-    if n < 2:
-        raise DegenerateDataError(f"need at least 2 subjects, got {n}")
-    if data.event.sum() == 0:
-        raise DegenerateDataError("all subjects are censored; cannot fit")
     event_idx = np.flatnonzero(data.event == 1)
     censor_idx = np.flatnonzero(data.event == 0)
     rng.shuffle(event_idx)

@@ -9,7 +9,7 @@ weighting itself through its own censoring mass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import gammaincc
@@ -291,10 +291,6 @@ class EvaluationHorizons:
     q2: float
     q2_ties_full: bool
 
-    def as_dict(self):
-        return {"full": self.full, "q1": self.q1, "q2": self.q2,
-                "q2_ties_full": self.q2_ties_full}
-
 
 def select_horizons(train_times, train_events, test_times) -> EvaluationHorizons:
     """Full horizon from the training censoring support, quantiles from test.
@@ -332,7 +328,7 @@ def evaluation_report(curves_fn, train_times, train_events, test_times,
     horizons = select_horizons(train_times, train_events, test_times)
     ghat = censoring_survival(train_times, train_events)
 
-    report = {"horizons": {}, "horizon_taus": horizons.as_dict()}
+    report = {"horizons": {}, "horizon_taus": asdict(horizons)}
     clip_events = 0
     n_comparable = None
     for name, tau in (("full", horizons.full), ("q1", horizons.q1),

@@ -1,9 +1,11 @@
 """Synthetic survival data generators with analytic ground truth.
 
-Each family is one ``Family`` entry of ``TABLE``: a covariate link to its
-parameters, hazard and cumulative hazard in closed form, an exact event-time
-draw, and where needed a survival closed form or a fixed censoring mechanism.
-``GroundTruth`` and the samplers only read that entry.
+A family is one ``Family`` entry of ``TABLE``, which holds its whole
+generative process: the covariate draw, a covariate link to its parameters,
+hazard and cumulative hazard in closed form, an exact event-time draw, the
+covariate groups whose curves ``truth.csv`` lists, and where needed a
+survival closed form or a fixed censoring mechanism.  ``GroundTruth``,
+``generate`` and the CLI only read that entry.
 
 Six parametric families share a one-dimensional covariate x ~ Uniform(-1, 1)
 whose effect enters each distribution parameter through a cubic polynomial
@@ -14,8 +16,9 @@ anti-phase sinusoidal hazards.
 
 Censoring for the parametric families is uniform on (0, b) with b calibrated
 by bisection against a Monte-Carlo sample so the realized censoring rate hits
-the target; scenario censoring mechanisms are fixed (Uniform(0, 2) and
-Exponential(rate 1/3) respectively) and independent of the covariate.
+the target (``DEFAULT_CENSORING`` unless one is given); scenario censoring
+mechanisms are fixed (Uniform(0, 2) and Exponential(rate 1/3) respectively),
+independent of the covariate, and take no target.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ COEFFICIENTS = {
 }
 GOMPERTZ_C = 0.05
 SCENARIO2_CENSOR_RATE = 1.0 / 3.0
+DEFAULT_CENSORING = 0.2  # target rate of a calibrated family when none is given
 CALIBRATION_DRAWS = 100_000
 CALIBRATION_TOL = 0.01
 EVALUATION_POINTS = 200  # points of the grid that curve errors are integrated on
@@ -75,7 +79,9 @@ class Family:
     cumhaz: Callable          # (t, *params) -> Lambda(t | x)
     draw: Callable            # (rng, *params) -> one event time per x
     surv: Callable | None = None    # (t, *params), where exp(-Lambda) loses accuracy
-    censor: Callable | None = None  # (rng, n), a scenario's fixed mechanism
+    covariates: Callable = lambda rng, n: rng.uniform(-1.0, 1.0, size=(n, 1))
+    groups: tuple = ()        # (name, covariate row) pairs listed in truth.csv
+    censor: Callable | None = None  # (rng, n), a fixed mechanism; None calibrates
 
     def survival(self, t, *params):
         if self.surv is not None:
@@ -145,6 +151,13 @@ def _scenario2_draw(rng, sign, tol: float = 1e-10):
     return 0.5 * (lo + hi)
 
 
+def _binary_covariates(rng, n):
+    return rng.integers(0, 2, size=(n, 1)).astype(np.float64)
+
+
+BINARY_GROUPS = (("x=0", (0.0,)), ("x=1", (1.0,)))
+
+
 def _neg_log(surv):
     return lambda t, *params: -np.log(surv(t, *params))
 
@@ -195,18 +208,19 @@ TABLE = {
         hazard=lambda t, x: (1.0 + x) * _safe_pow(t, x),
         cumhaz=lambda t, x: _safe_pow(t, 1.0 + x),
         draw=lambda rng, x: rng.exponential(1.0, size=np.shape(x)) ** (1.0 / (1.0 + x)),
+        covariates=_binary_covariates,
+        groups=BINARY_GROUPS,
         censor=lambda rng, n: rng.uniform(0.0, 2.0, size=n)),
     "scenario2": Family(
         link=lambda x: (1.0 - 2.0 * x,),
         hazard=lambda t, sign: 1.0 + 0.8 * sign * np.sin(4.0 * np.asarray(t, float)),
         cumhaz=_scenario2_cumhaz,
         draw=_scenario2_draw,
+        covariates=_binary_covariates,
+        groups=BINARY_GROUPS,
         censor=lambda rng, n: rng.exponential(1.0 / SCENARIO2_CENSOR_RATE, size=n)),
 }
 FAMILIES = tuple(TABLE)
-# the scenarios are the families with a fixed censoring mechanism
-SCENARIO_FAMILIES = tuple(name for name, f in TABLE.items() if f.censor is not None)
-PARAMETRIC_FAMILIES = tuple(name for name in TABLE if name not in SCENARIO_FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -253,7 +267,7 @@ class GeneratorSpec:
     family: str
     n_train: int = 2000
     n_test: int = 2000
-    censoring_target: float = 0.2
+    censoring_target: float | None = None  # None: DEFAULT_CENSORING if calibrated
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -261,26 +275,22 @@ class GeneratorSpec:
         if min(self.n_train, self.n_test) < 1:
             raise UsageError(
                 f"n_train and n_test must be >= 1, got {self.n_train}, {self.n_test}")
+        if self.censoring_target is None:
+            return
+        if TABLE[self.family].censor is not None:
+            raise UsageError(f"family {self.family!r} has a fixed censoring "
+                             "mechanism and takes no censoring target")
         if not 0.0 <= self.censoring_target < 1.0:
             raise UsageError("censoring target must be in [0, 1)")
-
-    @property
-    def is_scenario(self):
-        return self.family in SCENARIO_FAMILIES
 
 
 # --- samplers -----------------------------------------------------------------
 
-def sample_covariates(spec: GeneratorSpec, n: int, rng) -> np.ndarray:
-    if spec.is_scenario:
-        return rng.integers(0, 2, size=n).astype(np.float64)
-    return rng.uniform(-1.0, 1.0, size=n)
-
-
 def sample_event_times(spec: GeneratorSpec, xs, rng) -> np.ndarray:
-    """Conditional event-time draws, one per covariate value."""
+    """Conditional event-time draws, one per covariate row (or value)."""
     f = TABLE[spec.family]
-    return f.draw(rng, *f.link(np.asarray(xs, dtype=np.float64)))
+    xs = np.asarray(xs, dtype=np.float64)
+    return f.draw(rng, *f.link(xs)).reshape(len(xs))
 
 
 # --- censoring -----------------------------------------------------------------
@@ -296,7 +306,7 @@ def calibrate_censoring(spec: GeneratorSpec, target_rate: float, rng) -> float:
         return math.inf
     if not 0.0 < target_rate < 1.0:
         raise ContractError(f"target rate must be in [0, 1), got {target_rate}")
-    xs = sample_covariates(spec, CALIBRATION_DRAWS, rng)
+    xs = TABLE[spec.family].covariates(rng, CALIBRATION_DRAWS)
     ts = sample_event_times(spec, xs, rng)
     if not np.all(ts > 0) or ts.max() == 0:
         raise CalibrationError("event-time sample degenerate at zero")
@@ -325,14 +335,15 @@ def calibrate_censoring(spec: GeneratorSpec, target_rate: float, rng) -> float:
         f"bisection failed to reach censoring rate {target_rate}")
 
 
-def sample_censoring_times(spec: GeneratorSpec, n: int, bound: float, rng):
-    """Censoring draws, independent of the covariates by construction."""
-    censor = TABLE[spec.family].censor
-    if censor is not None:
-        return censor(rng, n)
+def _calibrated_censor(spec: GeneratorSpec, rng):
+    """Uniform(0, b) censoring with b calibrated to the spec's target rate;
+    none at all for a zero target."""
+    target = (DEFAULT_CENSORING if spec.censoring_target is None
+              else spec.censoring_target)
+    bound = calibrate_censoring(spec, target, rng)
     if math.isinf(bound):
-        return np.full(n, np.inf)
-    return rng.uniform(0.0, bound, size=n)
+        return lambda rng, n: np.full(n, np.inf)
+    return lambda rng, n: rng.uniform(0.0, bound, size=n)
 
 
 # --- dataset assembly -------------------------------------------------------------
@@ -343,7 +354,6 @@ class SimulatedData:
     train: SurvivalData
     test: SurvivalData
     truth: GroundTruth
-    censor_bound: float
     realized_censoring: float
 
 
@@ -352,24 +362,23 @@ def generate(spec: GeneratorSpec, seed: int) -> SimulatedData:
     if seed < 0:
         raise UsageError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    if spec.is_scenario:
-        bound = math.nan  # fixed mechanism, no calibration
-    else:
-        bound = calibrate_censoring(spec, spec.censoring_target, rng)
+    f = TABLE[spec.family]
+    # censoring is independent of the covariates by construction
+    censor = f.censor or _calibrated_censor(spec, rng)
 
     def draw(n):
-        xs = sample_covariates(spec, n, rng)
+        xs = f.covariates(rng, n)
         ts = sample_event_times(spec, xs, rng)
-        cs = sample_censoring_times(spec, n, bound, rng)
+        cs = censor(rng, n)
         observed = np.minimum(ts, cs)
         event = (ts <= cs).astype(np.int64)
-        return SurvivalData(xs[:, None], observed, event, ("x",))
+        return SurvivalData(xs, observed, event, ("x",))
 
     train = draw(spec.n_train)
     test = draw(spec.n_test)
     realized = 1.0 - train.event.mean()
     return SimulatedData(spec=spec, train=train, test=test,
-                         truth=make_truth(spec.family), censor_bound=bound,
+                         truth=make_truth(spec.family),
                          realized_censoring=float(realized))
 
 

@@ -16,7 +16,8 @@ from quadsurv import cli
 from quadsurv.data import Standardizer, load_csv
 from quadsurv.model import FittedModel, HazardModel, ModelConfig
 from quadsurv.quadrature import build_rule
-from quadsurv.simulation import GeneratorSpec, generate, evaluation_grid, l1_error
+from quadsurv.simulation import (FAMILIES, TABLE, GeneratorSpec, generate,
+                                 evaluation_grid, l1_error)
 from quadsurv.training import TrainingConfig, train
 
 TINY_CONFIG = {
@@ -85,8 +86,9 @@ def test_simulate_roundtrip_exact(tmp_path):
     (["weibull", "--n-train", 0], "n_train"),
     (["weibull", "--n-test", 0], "n_test"),
     (["weibull", "--seed", -1], "seed"),
+    (["scenario1", "--censoring", 0.9], "scenario1"),
 ], ids=["unknown-family", "negative-n-train", "zero-n-train", "zero-n-test",
-        "negative-seed"])
+        "negative-seed", "censoring-target-for-fixed-mechanism"])
 def test_simulate_unknown_family_exit_2(tmp_path, capsys, argv, message):
     assert run(["simulate", *argv, "--out", tmp_path / "x"]) == 2
     assert message in capsys.readouterr().err
@@ -139,6 +141,23 @@ def test_simulate_truth_groups(tmp_path):
     with open(out / "truth.csv") as fh:
         groups = {row["group"] for row in csv.DictReader(fh)}
     assert groups == {"x=0", "x=1", "marginal"}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_simulate_family_entry(tmp_path, family):
+    """A table entry draws (n, 1) float covariates, ``generate`` names them
+    ("x",), and truth.csv lists exactly the entry's groups, then marginal."""
+    entry = TABLE[family]
+    xs = entry.covariates(np.random.default_rng(0), 7)
+    assert xs.dtype == np.float64 and xs.shape == (7, 1)
+    sim = generate(GeneratorSpec(family, n_train=40, n_test=20), 0)
+    assert sim.train.columns == sim.test.columns == ("x",)
+    assert sim.train.x.shape == (40, 1) and sim.test.x.shape == (20, 1)
+    out = tmp_path / family
+    assert run(["simulate", family, "--n-train", 40, "--n-test", 20, "--out", out]) == 0
+    with open(out / "truth.csv") as fh:
+        groups = list(dict.fromkeys(row["group"] for row in csv.DictReader(fh)))
+    assert groups == [name for name, _ in entry.groups] + ["marginal"]
 
 
 def test_manifest_contents(sim_dir):

@@ -7,6 +7,7 @@ import re
 from pathlib import Path
 
 import quadsurv
+from quadsurv import metrics
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -39,3 +40,16 @@ def test_benchmark_spans_install(monkeypatch):
         layers.install_spans(tracer)
     finally:
         tracer.unpatch_all()
+
+
+def test_benchmark_library_calls(monkeypatch, tmp_path):
+    # the benchmark's set-up and its oracle C_td call the library directly, at
+    # small n here; an API change that would break them fails here instead
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    pipeline = importlib.import_module("pipeline")
+    spec = pipeline.GeneratorSpec(pipeline.FAMILY, n_train=200, n_test=60)
+    sim = pipeline.simulation.generate(spec, 0)
+    inputs = pipeline.Inputs(work=tmp_path, sim=sim, grid=None, fits={}, ops=[])
+    horizon = metrics.select_horizons(sim.train.time, sim.train.event,
+                                      sim.test.time).full
+    assert 0.5 < pipeline.oracle_ctd(inputs, 50, horizon) <= 1.0
