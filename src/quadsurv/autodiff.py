@@ -1,10 +1,11 @@
 """Reverse-mode autodiff over float64 numpy arrays.
 
 Covers exactly what the hazard networks need: affine maps, elementwise
-nonlinearities, elementwise products, column concatenation/slicing, row
-tiling, reductions, batch normalization and dropout.  Graphs are recorded
-dynamically per call (node times depend on each subject's observed time)
-and traversed once in reverse topological order by ``backward``.
+nonlinearities, sums and products, column concatenation, row tiling, batch
+normalization and dropout; ``record`` adds an op defined elsewhere (the
+loss).  Graphs are recorded dynamically per call (node times depend on each
+subject's observed time) and traversed once in reverse topological order by
+``backward``.
 
 Each op records, for every parent, a pure rule ``g -> gradient for that
 parent`` given the gradient ``g`` of the op's output.  A rule returns an
@@ -62,7 +63,8 @@ def parameter(values) -> Tensor:
     return Tensor(values, requires_grad=True)
 
 
-def _guard_finite(arr, op):
+def check_finite(arr, op):
+    """NumericDomainError naming ``op`` and the bad flat positions of ``arr``."""
     if not np.all(np.isfinite(arr)):
         flat = np.ravel(arr)
         bad = np.flatnonzero(~np.isfinite(flat))
@@ -71,9 +73,9 @@ def _guard_finite(arr, op):
             positions=bad[:16].tolist(), shape=tuple(np.shape(arr)))
 
 
-def _make(values, op, *edges):
+def record(values, op, *edges):
     """Output tensor of ``op``; each edge is (parent, rule for that parent)."""
-    _guard_finite(values, op)
+    check_finite(values, op)
     parents = tuple(parent for parent, _ in edges)
     if any(p.requires_grad for p in parents):
         return Tensor(values, requires_grad=True, _parents=parents,
@@ -100,10 +102,10 @@ def affine(w: Tensor, b: Tensor, h: Tensor) -> Tensor:
             f"affine shape mismatch: W {w.values.shape}, b {b.values.shape}, "
             f"h {h.values.shape}")
     out = h.values @ w.values.T + b.values
-    return _make(out, "affine",
-                 (w, lambda g: g.T @ h.values),
-                 (b, lambda g: g.sum(axis=0)),
-                 (h, lambda g: g @ w.values))
+    return record(out, "affine",
+                  (w, lambda g: g.T @ h.values),
+                  (b, lambda g: g.sum(axis=0)),
+                  (h, lambda g: g @ w.values))
 
 
 def linear(w: Tensor, h: Tensor) -> Tensor:
@@ -112,9 +114,9 @@ def linear(w: Tensor, h: Tensor) -> Tensor:
         raise ShapeError(
             f"linear shape mismatch: W {w.values.shape}, h {h.values.shape}")
     out = h.values @ w.values.T
-    return _make(out, "linear",
-                 (w, lambda g: g.T @ h.values),
-                 (h, lambda g: g @ w.values))
+    return record(out, "linear",
+                  (w, lambda g: g.T @ h.values),
+                  (h, lambda g: g @ w.values))
 
 
 def _gelu(x):
@@ -139,7 +141,6 @@ _ELEMENTWISE = {
     "softplus": (lambda x: np.logaddexp(0.0, x), lambda x, y: expit(x)),
     "gelu": (_gelu, _gelu_grad),
     "sigmoid": (expit, lambda x, y: y * (1.0 - y)),
-    "exp": (np.exp, lambda x, y: y),
     "relu": (lambda x: np.maximum(x, 0.0), lambda x, y: (x > 0.0).astype(np.float64)),
     "sin": (np.sin, lambda x, y: np.cos(x)),
 }
@@ -155,22 +156,15 @@ def elementwise(kind: str, x: Tensor) -> Tensor:
         raise ContractError(f"unknown elementwise kind {kind!r}") from None
     with np.errstate(over="ignore", invalid="ignore"):
         out = fwd(x.values)
-    return _make(out, f"elementwise[{kind}]",
-                 (x, lambda g: g * dfwd(x.values, out)))
+    return record(out, f"elementwise[{kind}]",
+                  (x, lambda g: g * dfwd(x.values, out)))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.values.shape != b.values.shape:
         raise ShapeError(f"add: {a.values.shape} != {b.values.shape}")
     out = a.values + b.values
-    return _make(out, "add", (a, lambda g: g), (b, lambda g: g))
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.values.shape != b.values.shape:
-        raise ShapeError(f"sub: {a.values.shape} != {b.values.shape}")
-    out = a.values - b.values
-    return _make(out, "sub", (a, lambda g: g), (b, lambda g: -g))
+    return record(out, "add", (a, lambda g: g), (b, lambda g: g))
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -179,11 +173,11 @@ def mul(a: Tensor, b) -> Tensor:
         if a.values.shape != b.values.shape:
             raise ShapeError(f"mul: {a.values.shape} != {b.values.shape}")
         out = a.values * b.values
-        return _make(out, "mul",
-                     (a, lambda g: g * b.values),
-                     (b, lambda g: g * a.values))
+        return record(out, "mul",
+                      (a, lambda g: g * b.values),
+                      (b, lambda g: g * a.values))
     c = _as_const(b, a.values.shape, "mul")
-    return _make(a.values * c, "mul", (a, lambda g: g * c))
+    return record(a.values * c, "mul", (a, lambda g: g * c))
 
 
 def _column_block(start, stop):
@@ -203,26 +197,12 @@ def concat_cols(tensors) -> Tensor:
         stop = start + t.values.shape[1]
         edges.append((t, _column_block(start, stop)))
         start = stop
-    return _make(out, "concat_cols", *edges)
-
-
-def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    if x.values.ndim != 2 or not (0 <= start < stop <= x.values.shape[1]):
-        raise ShapeError(
-            f"slice_cols[{start}:{stop}] invalid for shape {x.values.shape}")
-    out = x.values[:, start:stop].copy()
-
-    def grad_x(g):
-        gx = np.zeros_like(x.values)
-        gx[:, start:stop] = g
-        return gx
-
-    return _make(out, "slice_cols", (x, grad_x))
+    return record(out, "concat_cols", *edges)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
     out = x.values.reshape(shape)
-    return _make(out, "reshape", (x, lambda g: g.reshape(x.values.shape)))
+    return record(out, "reshape", (x, lambda g: g.reshape(x.values.shape)))
 
 
 def tile_rows(x: Tensor, reps: int) -> Tensor:
@@ -235,8 +215,8 @@ def tile_rows(x: Tensor, reps: int) -> Tensor:
         raise ShapeError(f"tile_rows expects a 2-d tensor, got {x.values.shape}")
     out = np.repeat(x.values, reps, axis=0)
     n, d = x.values.shape
-    return _make(out, "tile_rows",
-                 (x, lambda g: g.reshape(n, reps, d).sum(axis=1)))
+    return record(out, "tile_rows",
+                  (x, lambda g: g.reshape(n, reps, d).sum(axis=1)))
 
 
 def reduce_sum(x: Tensor, axis=None) -> Tensor:
@@ -247,13 +227,7 @@ def reduce_sum(x: Tensor, axis=None) -> Tensor:
     def grad_x(g):
         return np.broadcast_to(g[:, None] if axis == 1 else g, x.values.shape)
 
-    return _make(out, "reduce_sum", (x, grad_x))
-
-
-def mean(x: Tensor) -> Tensor:
-    n = x.values.size
-    out = x.values.mean()
-    return _make(out, "mean", (x, lambda g: np.broadcast_to(g / n, x.values.shape)))
+    return record(out, "reduce_sum", (x, grad_x))
 
 
 def dropout(x: Tensor, rate: float, rng, training: bool) -> Tensor:
@@ -309,10 +283,10 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
             return g * gamma.values * inv_std
 
     out = gamma.values * xhat + beta.values
-    return _make(out, "batch_norm",
-                 (x, grad_x),
-                 (gamma, lambda g: (g * xhat).sum(axis=0)),
-                 (beta, lambda g: g.sum(axis=0)))
+    return record(out, "batch_norm",
+                  (x, grad_x),
+                  (gamma, lambda g: (g * xhat).sum(axis=0)),
+                  (beta, lambda g: g.sum(axis=0)))
 
 
 def toposort(root: Tensor) -> list[Tensor]:

@@ -24,7 +24,7 @@ from . import __version__
 from . import metrics as mx
 from .data import Standardizer, load_covariates, load_csv, save_csv
 from .errors import (DataError, DegenerateDataError, IngestionError,
-                     QuadSurvError, UsageError)
+                     NumericDomainError, QuadSurvError, UsageError)
 from .model import FittedModel, HazardModel, ModelConfig, config_from_dict
 from .quadrature import build_rule
 from .simulation import (FAMILIES, GeneratorSpec, evaluation_grid, generate,
@@ -212,7 +212,8 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write_checkpoint(out / "checkpoint.json", result, data.columns)
     write_log_ndjson(result.log, out / "log.ndjson")
-    _write_manifest(out, "train", cfg.seed, cfg.as_dict(),
+    _write_manifest(out, "train", cfg.seed,
+                    {**asdict(cfg), "schema_version": SCHEMA_VERSION},
                     [args.config, args.train_csv],
                     [out / "checkpoint.json", out / "log.ndjson"], t0)
     status = ("completed" if result.abort_reason is None
@@ -222,6 +223,18 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _finite_curves(fitted: FittedModel, x, grid):
+    """``fitted.curves_matrix(x, grid)``, or NumericDomainError at the first
+    subject row and grid time where the hazard or cumulative hazard is not finite."""
+    lam, cumhaz, surv = fitted.curves_matrix(x, grid)
+    bad = np.argwhere(~(np.isfinite(lam) & np.isfinite(cumhaz)))
+    if len(bad):
+        raise NumericDomainError(
+            f"hazard or cumulative hazard is not finite for subject row {bad[0, 0]} "
+            f"at grid time {float(grid[bad[0, 1]])!r}")
+    return lam, cumhaz, surv
+
+
 def cmd_evaluate(args) -> int:
     t0 = _time.perf_counter()
     fitted, columns = load_checkpoint(args.checkpoint)
@@ -229,7 +242,7 @@ def cmd_evaluate(args) -> int:
     train_data = load_csv(args.train_csv, columns)
 
     def curves_fn(grid):
-        return fitted.survival_matrix(test.x, grid)
+        return _finite_curves(fitted, test.x, grid)[2]
 
     report = mx.evaluation_report(curves_fn, train_data.time, train_data.event,
                                   test.time, test.event)
@@ -253,7 +266,7 @@ def cmd_predict(args) -> int:
     fitted, columns = load_checkpoint(args.checkpoint)
     x = _load_covariates(args.covariates_csv, columns)
     grid = np.linspace(args.grid_min, args.grid_max, args.grid_points)
-    lam, ch, s = fitted.curves_matrix(x, grid)
+    lam, ch, s = _finite_curves(fitted, x, grid)
     rows = []
     for i in range(len(x)):
         rows.extend((i, t, lam[i, j], ch[i, j], s[i, j])

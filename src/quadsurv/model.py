@@ -310,8 +310,8 @@ class HazardModel:
         """Hazard, cumulative hazard and survival over a shared time grid.
 
         Returns three arrays of shape (n_subjects, len(grid)).  Each chunk of
-        grid points is one forward pass over the points, then their K node
-        times.  A chunk holds at most ``CHUNK_CELLS`` backbone activations
+        grid points is one forward pass over their ``rule.points``, summed by
+        ``rule.cumhaz``.  A chunk holds at most ``CHUNK_CELLS`` backbone activations
         (``concat``, n (K+1) sum(hidden) per point) or output cells (``film``
         and ``lora``, n (K+1) per point), and at least one point, so with
         very large n memory grows linearly in n.
@@ -334,11 +334,14 @@ class HazardModel:
         for start in range(0, g, chunk):
             block = grid[start:start + chunk]
             m = len(block)
-            times = np.concatenate([block, np.outer(block, rule.unit_nodes).ravel()])
-            lam_all = np.exp(self.forward(p, x, times).values)
-            lam[:, start:start + m] = lam_all[:, :m]
-            lam_nodes = lam_all[:, m:].reshape(n, m, k)
-            cumhaz[:, start:start + m] = (block / 2.0) * (lam_nodes @ rule.weights)
+            # node-major times, so each node's hazards are m-long runs; the
+            # forward's output is a fresh array, used in place
+            f = self.forward(p, x, rule.points(block).T.ravel()).values
+            f = f.reshape(n, k + 1, m)
+            with np.errstate(over="ignore"):
+                np.exp(f, out=f)
+            lam[:, start:start + m] = f[:, 0]
+            cumhaz[:, start:start + m] = rule.cumhaz(f[:, 1:].transpose(1, 0, 2), block)
         return lam, cumhaz, np.exp(-cumhaz)
 
     # --- state -------------------------------------------------------------

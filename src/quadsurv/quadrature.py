@@ -53,6 +53,29 @@ class QuadratureRule:
             "weights": [float(w) for w in self.weights],
         }
 
+    def points(self, t) -> np.ndarray:
+        """(..., K+1) times for times ``t`` of any shape: t, then t tau_k."""
+        t = np.asarray(t, dtype=np.float64)[..., None]
+        return np.concatenate([t, t * self.unit_nodes], axis=-1)
+
+    def cumhaz(self, hazards, t) -> np.ndarray:
+        """(t/2) sum_k w_k lambda_k from the (K, *t.shape) hazards, t of one or
+        more dimensions, at the node times of ``points(t)``; overwrites them.
+        Node slices are added in the order numpy sums one row of up to 128
+        values, so the value is the row sum's whatever the layout or shape."""
+        k = self.order
+        # weights repeated along the last axis, so a product spans a node block
+        hazards *= np.repeat(self.weights, hazards.shape[-1]).reshape(
+            (k,) + (1,) * (hazards.ndim - 2) + hazards.shape[-1:])
+        head = k - k % 8 if k >= 8 else 1
+        for i in range(8, head, 8):
+            hazards[:8] += hazards[i:i + 8]
+        for step in (1, 2, 4) if k >= 8 else ():
+            hazards[0:8:2 * step] += hazards[step:8:2 * step]
+        for i in range(head, k):
+            hazards[0] += hazards[i]
+        return (np.asarray(t, dtype=np.float64) / 2.0) * hazards[0]
+
 
 def legendre_eval(k: int, x: float) -> tuple[float, float]:
     """Value and derivative of the k-th Legendre polynomial at x.

@@ -5,10 +5,10 @@ The per-batch loss is the mean over subjects of
     Lambda_hat(o_i | x_i) - delta_i * f(x_i, o_i)
 
 with the cumulative hazard approximated as (o_i / 2) sum_k w_k
-exp f(x_i, o_i tau_k).  Optimization is AdamW with a cosine learning-rate
-schedule decaying to zero over the epoch budget; the returned parameters
-are the snapshot with the best validation concordance (lower validation
-integrated Brier score breaks ties).
+exp f(x_i, o_i tau_k) by ``QuadratureRule.cumhaz``.  Optimization is AdamW
+with a cosine learning-rate schedule decaying to zero over the epoch
+budget; the returned parameters are the snapshot with the best validation
+concordance (lower validation integrated Brier score breaks ties).
 """
 
 from __future__ import annotations
@@ -28,9 +28,6 @@ from .errors import (ContractError, DegenerateDataError, NumericDomainError,
 from .model import (Architecture, FittedModel, HazardModel, ModelConfig,
                     check_types, config_from_dict)
 from .quadrature import MAX_ORDER, QuadratureRule, build_rule
-
-SCHEMA_VERSION = 1
-
 
 # C_td differences below this are sampling noise at typical validation
 # sizes; the epoch selection treats them as ties and lets IBS decide
@@ -73,12 +70,6 @@ class TrainingConfig(Architecture):
         shape = {f.name: getattr(self, f.name) for f in fields(Architecture)}
         return ModelConfig(input_dim=input_dim, time_scale=time_scale, **shape)
 
-    def as_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in self.__dataclass_fields__}
-        d["hidden"] = list(self.hidden)
-        d["schema_version"] = SCHEMA_VERSION
-        return d
-
     @classmethod
     def from_dict(cls, d: dict) -> "TrainingConfig":
         return config_from_dict(cls, d)
@@ -89,23 +80,13 @@ def cosine_lr(base_lr: float, epoch: int, t_max: int) -> float:
     return base_lr * 0.5 * (1.0 + math.cos(math.pi * epoch / t_max))
 
 
-def _loss_times(times, rule: QuadratureRule) -> np.ndarray:
-    """(b, K+1) times of the loss: the observed time, then the K node times."""
-    all_times = np.empty((len(times), rule.order + 1))
-    all_times[:, 0] = times
-    all_times[:, 1:] = np.outer(times, rule.unit_nodes)
-    return all_times
-
-
-def _loss_terms(f_all: ad.Tensor, rule: QuadratureRule, times, events):
-    """Per-subject event term and K-node cumulative hazard from the (b, K+1)
-    log-hazards at ``_loss_times``."""
-    b, k = len(times), rule.order
-    f_obs = ad.reshape(ad.slice_cols(f_all, 0, 1), (b,))
-    lam_nodes = ad.elementwise("exp", ad.slice_cols(f_all, 1, k + 1))
-    w_const = np.broadcast_to(rule.weights, (b, k))
-    cumhaz = ad.mul(ad.reduce_sum(ad.mul(lam_nodes, w_const), axis=1), times / 2.0)
-    return ad.mul(f_obs, events), cumhaz
+def _terms(f, rule: QuadratureRule, times, events):
+    """Per-subject delta f(x, t) and Lambda from the (b, K+1) log-hazards at
+    ``rule.points(times)``; NumericDomainError where Lambda is not finite."""
+    with np.errstate(over="ignore"):
+        cumhaz = rule.cumhaz(np.exp(f[:, 1:]).T, times)
+    ad.check_finite(cumhaz, "the cumulative hazard")
+    return events * f[:, 0], cumhaz
 
 
 def nll_loss(model: HazardModel, rule: QuadratureRule, x, times, events,
@@ -114,25 +95,34 @@ def nll_loss(model: HazardModel, rule: QuadratureRule, x, times, events,
 
     The observed time and the K node times are evaluated in a single
     forward pass, so the covariate embedding is shared by the event and
-    cumulative-hazard terms.
+    cumulative-hazard terms.  The batch mean is one op with its own gradient.
     """
-    x = np.asarray(x, dtype=np.float64)
     times = np.asarray(times, dtype=np.float64)
     events = np.asarray(events, dtype=np.float64)
     b = len(times)
     if b == 0:
         raise ContractError("nll_loss requires a nonempty batch")
     try:
-        f_all = model.forward(model.params, x, _loss_times(times, rule),
-                              training=training, rng=rng)
-        event_term, cumhaz = _loss_terms(f_all, rule, times, events)
+        f = model.forward(model.params, x, rule.points(times),
+                          training=training, rng=rng)
+        event_term, cumhaz = _terms(f.values, rule, times, events)
     except NumericDomainError as err:
         raise _locate_subject(err, b, rule.order + 1) from None
-    return ad.mean(ad.sub(cumhaz, event_term))
+
+    def grad_f(g):
+        # d/df_obs = -delta / b; d/df_k = (t/2) w_k exp f_k / b
+        scale = g / b
+        grad = np.empty_like(f.values)
+        grad[:, 0] = -scale * events
+        grad[:, 1:] = ((scale * (times / 2.0))[:, None] * rule.weights
+                       * np.exp(f.values[:, 1:]))
+        return grad
+
+    return ad.record(np.mean(cumhaz - event_term), "nll_loss", (f, grad_f))
 
 
 def _locate_subject(err: NumericDomainError, batch: int, width: int):
-    """Map a non-finite position in a (batch*width, ...) or (batch, width)
+    """Map a non-finite position in a (batch, ...) or (batch*width, ...)
     intermediate back to the offending subject index."""
     subject = None
     if err.positions and err.shape:
@@ -154,11 +144,7 @@ def nll_terms(model: HazardModel, rule: QuadratureRule, x, times, events):
     ``nll_loss`` evaluated out of training mode.  A hazard that overflows at
     a node raises ``NumericDomainError``, as in ``nll_loss``.
     """
-    times = np.asarray(times, dtype=np.float64)
-    events = np.asarray(events, dtype=np.float64)
-    f_all = ad.tensor(model.log_hazard_matrix(x, _loss_times(times, rule)))
-    event_term, cumhaz = _loss_terms(f_all, rule, times, events)
-    return event_term.values, cumhaz.values
+    return _terms(model.log_hazard_matrix(x, rule.points(times)), rule, times, events)
 
 
 # --- optimizer ----------------------------------------------------------------

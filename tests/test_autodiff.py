@@ -87,13 +87,6 @@ def test_elementwise_values():
                - 0.5 * (1 + math.erf(1 / math.sqrt(2)))) < 1e-15
 
 
-def test_exp_backward_is_exp():
-    x = ad.parameter([1.0])
-    y = ad.reduce_sum(ad.elementwise("exp", x))
-    ad.backward(y)
-    assert abs(x.grad[0] - math.e) < 1e-12
-
-
 @pytest.mark.parametrize("kind", ad.ELEMENTWISE_KINDS)
 def test_elementwise_gradients_match_fd(kind):
     rng = np.random.default_rng(7)
@@ -107,11 +100,12 @@ def test_elementwise_gradients_match_fd(kind):
     assert_grads_close(x.grad, fd_grad(loss_value, x.values))
 
 
-def test_exp_overflow_raises():
-    x = ad.tensor([[1000.0]])
+def test_record_rejects_non_finite_values():
+    x = ad.tensor([[1.0, 1e308]])
     with pytest.raises(NumericDomainError) as exc:
-        ad.elementwise("exp", x)
-    assert exc.value.positions == [0]
+        ad.mul(x, np.array([[2.0, 10.0]]))
+    assert exc.value.positions == [1]
+    assert "non-finite values produced by mul" in str(exc.value)
 
 
 def test_unknown_kind_rejected():
@@ -127,12 +121,6 @@ def test_backward_of_sum_is_ones():
     np.testing.assert_array_equal(x.grad, [1.0, 1.0, 1.0])
 
 
-def test_backward_sum_exp():
-    x = ad.parameter([0.0, 1.0])
-    ad.backward(ad.reduce_sum(ad.elementwise("exp", x)))
-    np.testing.assert_allclose(x.grad, [1.0, math.e], atol=1e-12)
-
-
 def test_backward_requires_scalar():
     x = ad.parameter([[1.0, 2.0]])
     with pytest.raises(ContractError):
@@ -142,9 +130,9 @@ def test_backward_requires_scalar():
 def test_double_use_accumulates_exactly():
     # y = f(x) + g(x) must give f'(x) + g'(x)
     x = ad.parameter([0.3])
-    y = ad.add(ad.elementwise("exp", x), ad.elementwise("tanh", x))
+    y = ad.add(ad.elementwise("sin", x), ad.elementwise("tanh", x))
     ad.backward(ad.reduce_sum(y))
-    expected = math.exp(0.3) + (1 - math.tanh(0.3) ** 2)
+    expected = math.cos(0.3) + (1 - math.tanh(0.3) ** 2)
     assert abs(x.grad[0] - expected) < 1e-14
 
 
@@ -155,16 +143,6 @@ def test_tile_rows_backward_sums_over_copies():
     np.testing.assert_array_equal(tiled.values[0], tiled.values[2])
     ad.backward(ad.reduce_sum(tiled))
     np.testing.assert_array_equal(x.grad, [[3.0, 3.0], [3.0, 3.0]])
-
-
-def test_slice_and_concat_roundtrip_gradients():
-    x = ad.parameter(np.arange(6.0).reshape(2, 3))
-    left = ad.slice_cols(x, 0, 1)
-    right = ad.slice_cols(x, 1, 3)
-    rebuilt = ad.concat_cols([left, right])
-    np.testing.assert_array_equal(rebuilt.values, x.values)
-    ad.backward(ad.mean(rebuilt))
-    np.testing.assert_allclose(x.grad, np.full((2, 3), 1.0 / 6.0))
 
 
 def test_mul_const_and_scale():
@@ -212,9 +190,9 @@ def _batch_norm_eval(x, gamma, beta):
 # op -> (shapes of its tensor arguments, the op on those arguments)
 FD_CASES = {
     "linear": (((3, 4), (5, 4)), ad.linear),
-    "sub": (((4, 3), (4, 3)), ad.sub),
     "mul": (((4, 3), (4, 3)), ad.mul),
     "reshape": (((4, 3),), lambda x: ad.reshape(x, (2, 6))),
+    "concat_cols": (((4, 1), (4, 3)), lambda a, b: ad.concat_cols([a, b])),
     "reduce_sum_axis0": (((4, 3),), lambda x: ad.reduce_sum(x, axis=0)),
     "batch_norm_eval": (((6, 3), (3,), (3,)), _batch_norm_eval),
 }
@@ -277,9 +255,35 @@ def test_backward_equals_reference_policy_on_nll_loss(head, batchnorm, dropout):
         assert np.array_equal(p.grad, expected[id(p)]), name
 
 
+@pytest.mark.parametrize("batchnorm", [False, True])
+@pytest.mark.parametrize("head", CONDITIONING_KINDS)
+def test_nll_loss_gradients_match_fd(head, batchnorm):
+    """The loss's hand-written gradient rule, through every head, against
+    central differences at K = 7 on a batch of events and censored times."""
+    cfg = ModelConfig(input_dim=3, hidden=(8, 8), activation="tanh",
+                      conditioning=head, rank=2, time_embed_dim=4,
+                      modulation_hidden=6, batchnorm=batchnorm, time_scale=2.0)
+    model = HazardModel(cfg, np.random.default_rng(0))
+    rng = np.random.default_rng(3)
+    for p in model.params.values():
+        p.values = rng.normal(0.0, 0.4, size=p.values.shape)
+    x = rng.normal(size=(12, 3))
+    times = rng.uniform(0.05, 4.0, size=12)
+    events = np.tile([1.0, 0.0], 6)
+    rule = build_rule(7)
+
+    def run():
+        return nll_loss(model, rule, x, times, events, training=True)
+
+    ad.zero_grad(model.params.values())
+    ad.backward(run())
+    for name, p in model.params.items():
+        assert_grads_close(p.grad, fd_grad(lambda: float(run().values), p.values))
+
+
 def test_repeated_backward_adds_one_gradient_per_call():
     x = ad.parameter([0.4])
-    inner = ad.elementwise("tanh", ad.elementwise("exp", x))
+    inner = ad.elementwise("tanh", ad.elementwise("sin", x))
     loss = ad.reduce_sum(inner)
     ad.backward(loss)
     once = x.grad.copy()
@@ -296,7 +300,7 @@ def test_leaf_gradients_own_their_memory():
     # a and b receive one array from add; c's and d's rules return broadcasts
     loss = ad.add(ad.add(ad.reduce_sum(ad.reduce_sum(ad.add(a, b), axis=0)),
                          ad.reduce_sum(ad.reduce_sum(c, axis=0))),
-                  ad.mean(d))
+                  ad.reduce_sum(d))
     ad.backward(loss)
     leaves = [a, b, c, d]
     for i, p in enumerate(leaves):
@@ -375,7 +379,7 @@ def test_forward_backward_bit_deterministic():
         w = ad.parameter(rng.normal(size=(4, 3)))
         b = ad.parameter(rng.normal(size=4))
         h = ad.tensor(rng.normal(size=(8, 3)))
-        loss = ad.mean(ad.elementwise("gelu", ad.affine(w, b, h)))
+        loss = ad.reduce_sum(ad.elementwise("gelu", ad.affine(w, b, h)))
         ad.backward(loss)
         return loss.values.copy(), w.grad.copy()
 

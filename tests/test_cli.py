@@ -469,6 +469,23 @@ def test_malformed_checkpoint_exit_3(tmp_path, sim_dir, trained, capsys, damage)
         assert "the model's input width is 1" in err
 
 
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+def test_overflowing_checkpoint_exit_4(tmp_path, sim_dir, trained, capsys, command):
+    """A valid checkpoint whose hazard overflows exits 4, naming the first
+    subject row and grid time, and writes no output."""
+    payload = json.loads(trained.read_text())
+    _setter("params", "head.b", _f8([800.0]))(payload)
+    bad = tmp_path / "checkpoint.json"
+    bad.write_text(json.dumps(payload))
+    argv = {"evaluate": ["evaluate", bad, sim_dir / "test.csv", sim_dir / "train.csv"],
+            "predict": ["predict", bad, sim_dir / "test.csv", "--grid-max", 2.0]}[command]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(argv + ["--out", out]) == 4
+    assert "is not finite for subject row 0 at grid time " in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- round trip through checkpoint and CSV ----------------------------------------------
 
 COVARIATES = ("age", "dose", "z")

@@ -3,11 +3,17 @@ the traced benchmark wraps must resolve."""
 
 import ast
 import importlib
+import math
 import re
 from pathlib import Path
 
+import numpy as np
+
 import quadsurv
 from quadsurv import metrics
+from quadsurv.model import HazardModel
+from quadsurv.quadrature import build_rule
+from quadsurv.training import TrainingConfig, nll_loss
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -43,8 +49,9 @@ def test_benchmark_spans_install(monkeypatch):
 
 
 def test_benchmark_library_calls(monkeypatch, tmp_path):
-    # the benchmark's set-up and its oracle C_td call the library directly, at
-    # small n here; an API change that would break them fails here instead
+    # the benchmark's set-up, its oracle C_td, its K sweep of training steps
+    # and its graph-size hook call the library directly, at small n here; an
+    # API change that would break them fails here instead
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     pipeline = importlib.import_module("pipeline")
     spec = pipeline.GeneratorSpec(pipeline.FAMILY, n_train=200, n_test=60)
@@ -53,3 +60,18 @@ def test_benchmark_library_calls(monkeypatch, tmp_path):
     horizon = metrics.select_horizons(sim.train.time, sim.train.event,
                                       sim.test.time).full
     assert 0.5 < pipeline.oracle_ctd(inputs, 50, horizon) <= 1.0
+
+    layers = importlib.import_module("layers")
+    monkeypatch.setattr(layers, "KSTEP_NODES", (1, 3))
+    monkeypatch.setattr(layers, "KSTEP_REPEATS", 1)
+    series = layers.kstep_series(sim.train)
+    assert sorted(series) == sorted(f"kstep_ms.{h}.k{k}"
+                                    for h in layers.KSTEP_HEADS for k in (1, 3))
+    assert all(math.isfinite(v) and v > 0 for v in series.values())
+
+    tracer = importlib.import_module("tracer").Tracer()
+    model = HazardModel(TrainingConfig().model_config(1), np.random.default_rng(0))
+    loss = nll_loss(model, build_rule(3), sim.train.x[:8], sim.train.time[:8],
+                    sim.train.event[:8])
+    layers._graph_nodes(tracer, (), {}, loss)
+    assert tracer.levels[(None, "autodiff.graph_nodes")] > 1

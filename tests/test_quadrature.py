@@ -272,3 +272,29 @@ def test_rule_json_dump_schema():
     assert set(d) == {"K", "nodes", "weights"}
     assert d["K"] == 3
     assert len(d["nodes"]) == len(d["weights"]) == 3
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 8, 9, 15, 16, 17, 64])
+def test_cumhaz_and_points_layout(k):
+    """``points`` lays out t, then t tau_k.  ``cumhaz`` of node-first hazards
+    is (t/2) times numpy's own row sum of w_k lambda_k, bit for bit, on a
+    node-first and a node-major buffer and for one time at a time; it is
+    infinite where a hazard is."""
+    rule = build_rule(k)
+    rng = np.random.default_rng(k)
+    t = rng.uniform(0.1, 5.0, size=6)
+    points = rule.points(t)
+    assert points.shape == (6, k + 1)
+    assert np.array_equal(points[:, 0], t)
+    assert np.array_equal(points[:, 1:], np.outer(t, rule.unit_nodes))
+    hazards = np.exp(rng.normal(0.0, 3.0, size=(40, 6, k)))
+    hazards[0, 0, 0] = math.inf
+    expected = (t / 2.0) * (hazards * rule.weights).sum(axis=-1)
+    node_first = np.moveaxis(hazards, -1, 0).copy()
+    node_major = hazards.transpose(0, 2, 1).copy().transpose(1, 0, 2)
+    assert np.array_equal(rule.cumhaz(node_first, t), expected)
+    assert np.array_equal(rule.cumhaz(node_major, t), expected)
+    for i in (1, 39):
+        one = [rule.cumhaz(hazards[i, j][:, None].copy(), t[j:j + 1])[0] for j in range(6)]
+        assert np.array_equal(one, expected[i])
+    assert math.isinf(expected[0, 0])

@@ -200,7 +200,7 @@ def test_config_validation():
 
 def test_config_json_roundtrip():
     cfg = TrainingConfig(k_nodes=7, hidden=(64, 32), seed=11)
-    restored = TrainingConfig.from_dict(json.loads(json.dumps(cfg.as_dict())))
+    restored = TrainingConfig.from_dict(json.loads(json.dumps(dataclasses.asdict(cfg))))
     assert restored == cfg
     with pytest.raises(UsageError):
         TrainingConfig.from_dict({"nodes": 3})
