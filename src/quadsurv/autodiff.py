@@ -18,7 +18,10 @@ gradient once the node's rules have run, and stores gradients only on
 leaves, in arrays the leaf owns.
 
 There is no broadcasting beyond the row-wise bias of ``affine``; any other
-shape disagreement raises ``ShapeError``.
+shape disagreement raises ``ShapeError``.  Values are not checked: an op
+records whatever it computes, infinities and NaNs included.  Callers check
+finiteness where values leave the network (``HazardModel.forward``'s output,
+the loss's cumulative hazard, the gradient norm in ``clip_gradients``).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import erf, expit
 
-from .errors import ContractError, NumericDomainError, ShapeError
+from .errors import ContractError, ShapeError
 
 _SQRT2 = float(np.sqrt(2.0))
 _INV_SQRT2PI = float(1.0 / np.sqrt(2.0 * np.pi))
@@ -63,19 +66,8 @@ def parameter(values) -> Tensor:
     return Tensor(values, requires_grad=True)
 
 
-def check_finite(arr, op):
-    """NumericDomainError naming ``op`` and the bad flat positions of ``arr``."""
-    if not np.all(np.isfinite(arr)):
-        flat = np.ravel(arr)
-        bad = np.flatnonzero(~np.isfinite(flat))
-        raise NumericDomainError(
-            f"non-finite values produced by {op}",
-            positions=bad[:16].tolist(), shape=tuple(np.shape(arr)))
-
-
-def record(values, op, *edges):
-    """Output tensor of ``op``; each edge is (parent, rule for that parent)."""
-    check_finite(values, op)
+def record(values, *edges):
+    """Output tensor of an op; each edge is (parent, rule for that parent)."""
     parents = tuple(parent for parent, _ in edges)
     if any(p.requires_grad for p in parents):
         return Tensor(values, requires_grad=True, _parents=parents,
@@ -102,7 +94,7 @@ def affine(w: Tensor, b: Tensor, h: Tensor) -> Tensor:
             f"affine shape mismatch: W {w.values.shape}, b {b.values.shape}, "
             f"h {h.values.shape}")
     out = h.values @ w.values.T + b.values
-    return record(out, "affine",
+    return record(out,
                   (w, lambda g: g.T @ h.values),
                   (b, lambda g: g.sum(axis=0)),
                   (h, lambda g: g @ w.values))
@@ -114,7 +106,7 @@ def linear(w: Tensor, h: Tensor) -> Tensor:
         raise ShapeError(
             f"linear shape mismatch: W {w.values.shape}, h {h.values.shape}")
     out = h.values @ w.values.T
-    return record(out, "linear",
+    return record(out,
                   (w, lambda g: g.T @ h.values),
                   (h, lambda g: g @ w.values))
 
@@ -156,15 +148,14 @@ def elementwise(kind: str, x: Tensor) -> Tensor:
         raise ContractError(f"unknown elementwise kind {kind!r}") from None
     with np.errstate(over="ignore", invalid="ignore"):
         out = fwd(x.values)
-    return record(out, f"elementwise[{kind}]",
-                  (x, lambda g: g * dfwd(x.values, out)))
+    return record(out, (x, lambda g: g * dfwd(x.values, out)))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.values.shape != b.values.shape:
         raise ShapeError(f"add: {a.values.shape} != {b.values.shape}")
     out = a.values + b.values
-    return record(out, "add", (a, lambda g: g), (b, lambda g: g))
+    return record(out, (a, lambda g: g), (b, lambda g: g))
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -173,11 +164,11 @@ def mul(a: Tensor, b) -> Tensor:
         if a.values.shape != b.values.shape:
             raise ShapeError(f"mul: {a.values.shape} != {b.values.shape}")
         out = a.values * b.values
-        return record(out, "mul",
+        return record(out,
                       (a, lambda g: g * b.values),
                       (b, lambda g: g * a.values))
     c = _as_const(b, a.values.shape, "mul")
-    return record(a.values * c, "mul", (a, lambda g: g * c))
+    return record(a.values * c, (a, lambda g: g * c))
 
 
 def _column_block(start, stop):
@@ -197,12 +188,12 @@ def concat_cols(tensors) -> Tensor:
         stop = start + t.values.shape[1]
         edges.append((t, _column_block(start, stop)))
         start = stop
-    return record(out, "concat_cols", *edges)
+    return record(out, *edges)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
     out = x.values.reshape(shape)
-    return record(out, "reshape", (x, lambda g: g.reshape(x.values.shape)))
+    return record(out, (x, lambda g: g.reshape(x.values.shape)))
 
 
 def tile_rows(x: Tensor, reps: int) -> Tensor:
@@ -215,8 +206,7 @@ def tile_rows(x: Tensor, reps: int) -> Tensor:
         raise ShapeError(f"tile_rows expects a 2-d tensor, got {x.values.shape}")
     out = np.repeat(x.values, reps, axis=0)
     n, d = x.values.shape
-    return record(out, "tile_rows",
-                  (x, lambda g: g.reshape(n, reps, d).sum(axis=1)))
+    return record(out, (x, lambda g: g.reshape(n, reps, d).sum(axis=1)))
 
 
 def reduce_sum(x: Tensor, axis=None) -> Tensor:
@@ -227,7 +217,7 @@ def reduce_sum(x: Tensor, axis=None) -> Tensor:
     def grad_x(g):
         return np.broadcast_to(g[:, None] if axis == 1 else g, x.values.shape)
 
-    return record(out, "reduce_sum", (x, grad_x))
+    return record(out, (x, grad_x))
 
 
 def dropout(x: Tensor, rate: float, rng, training: bool) -> Tensor:
@@ -283,7 +273,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
             return g * gamma.values * inv_std
 
     out = gamma.values * xhat + beta.values
-    return record(out, "batch_norm",
+    return record(out,
                   (x, grad_x),
                   (gamma, lambda g: (g * xhat).sum(axis=0)),
                   (beta, lambda g: g.sum(axis=0)))

@@ -308,9 +308,12 @@ def cmd_sweep_nodes(args) -> int:
         try:
             result = train(cfg, sim.train)
             grid = evaluation_grid(sim.train.time)
-            err_s, err_ch, err_h = l1_error(result, sim.truth, sim.test.x, grid)
-            return (args.family, k, seed, err_s, err_ch, err_h,
-                    result.wall_clock, "")
+            iae = l1_error(result, sim.truth, sim.test.x, grid)
+            if not np.all(np.isfinite(iae)):
+                # the fit's hazard overflows on the grid: an error, as in predict
+                raise NumericDomainError("non-finite IAE: survival {!r}, cumhaz {!r}, "
+                                         "hazard {!r}".format(*iae))
+            return (args.family, k, seed, *iae, result.wall_clock, "")
         except QuadSurvError as err:
             return (args.family, k, seed, "", "", "", "", str(err))
 

@@ -56,8 +56,6 @@ class NumericDomainError(QuadSurvError):
 
     exit_code = 4
 
-    def __init__(self, message, *, node_time=None, positions=None, shape=None):
+    def __init__(self, message, *, node_time=None):
         super().__init__(message)
         self.node_time = node_time
-        self.positions = positions
-        self.shape = shape

@@ -32,7 +32,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import Standardizer
-from .errors import ContractError, DataError, ShapeError, UsageError
+from .errors import (ContractError, DataError, NumericDomainError, ShapeError,
+                     UsageError)
 from .quadrature import QuadratureRule
 
 CONDITIONING_KINDS = ("concat", "film", "lora")
@@ -143,6 +144,16 @@ class ModelConfig(Architecture):
     RANGES = {**Architecture.RANGES,
               "input_dim": (lambda v: v >= 1, "input_dim must be >= 1, got {}"),
               "time_scale": (lambda v: v > 0, "time_scale must be positive, got {}")}
+
+
+def _finite_output(f: ad.Tensor, times) -> ad.Tensor:
+    """``f``, or NumericDomainError naming the subject and time of its first
+    value that is not finite."""
+    if not np.all(np.isfinite(f.values)):
+        i, j = np.argwhere(~np.isfinite(f.values))[0]
+        t = float(times[j] if times.ndim == 1 else times[i, j])
+        raise NumericDomainError(f"non-finite log-hazard (subject index {i}, time {t!r})")
+    return f
 
 
 def _glorot(rng, d_out, d_in):
@@ -258,7 +269,8 @@ class HazardModel:
         ``film`` and ``lora`` factorise as f(x_i, t) = a_i . c(t) + bias(t),
         with a per-subject row a and per-time rows c and bias, so the head and
         the base products run once per subject and each extra time costs the
-        time branch and one dot product.
+        time branch and one dot product.  An output that is not finite raises
+        ``NumericDomainError`` naming its subject index and time.
         """
         cfg = self.config
         x = np.asarray(x, dtype=np.float64)
@@ -275,7 +287,7 @@ class HazardModel:
             inp = ad.tensor(np.hstack([np.repeat(x, r, axis=0),
                                        t_col / cfg.time_scale]))
             f = ad.affine(p["head.W"], p["head.b"], self._backbone(p, inp, training, rng))
-            return ad.reshape(f, (b, r))
+            return _finite_output(ad.reshape(f, (b, r)), times)
 
         t_col = ad.tensor(times.reshape(-1, 1))
         h = self._backbone(p, ad.tensor(x), training, rng)
@@ -297,9 +309,11 @@ class HazardModel:
                                 self._modulation(p, t_col)])
             bias = None
         if times.ndim == 1:
-            return ad.linear(c, a) if bias is None else ad.affine(c, bias, a)
-        f = ad.reduce_sum(ad.mul(ad.tile_rows(a, r), c), axis=1)
-        return ad.reshape(f if bias is None else ad.add(f, bias), (b, r))
+            f = ad.linear(c, a) if bias is None else ad.affine(c, bias, a)
+        else:
+            f = ad.reduce_sum(ad.mul(ad.tile_rows(a, r), c), axis=1)
+            f = ad.reshape(f if bias is None else ad.add(f, bias), (b, r))
+        return _finite_output(f, times)
 
     def log_hazard_matrix(self, x, times):
         """``forward`` in evaluation mode on constant views of the parameters,

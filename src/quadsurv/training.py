@@ -8,7 +8,9 @@ with the cumulative hazard approximated as (o_i / 2) sum_k w_k
 exp f(x_i, o_i tau_k) by ``QuadratureRule.cumhaz``.  Optimization is AdamW
 with a cosine learning-rate schedule decaying to zero over the epoch
 budget; the returned parameters are the snapshot with the best validation
-concordance (lower validation integrated Brier score breaks ties).
+concordance (lower validation integrated Brier score breaks ties).  A step
+whose log-hazards, cumulative hazards or gradient norm are not finite raises
+``NumericDomainError`` before its update, and training stops there.
 """
 
 from __future__ import annotations
@@ -82,10 +84,14 @@ def cosine_lr(base_lr: float, epoch: int, t_max: int) -> float:
 
 def _terms(f, rule: QuadratureRule, times, events):
     """Per-subject delta f(x, t) and Lambda from the (b, K+1) log-hazards at
-    ``rule.points(times)``; NumericDomainError where Lambda is not finite."""
+    ``rule.points(times)``; NumericDomainError naming the first subject whose
+    Lambda is not finite (its hazard overflows at a node)."""
     with np.errstate(over="ignore"):
         cumhaz = rule.cumhaz(np.exp(f[:, 1:]).T, times)
-    ad.check_finite(cumhaz, "the cumulative hazard")
+    bad = np.flatnonzero(~np.isfinite(cumhaz))
+    if len(bad):
+        raise NumericDomainError(f"non-finite loss (subject index {bad[0]}): "
+                                 f"non-finite values produced by the cumulative hazard")
     return events * f[:, 0], cumhaz
 
 
@@ -96,18 +102,17 @@ def nll_loss(model: HazardModel, rule: QuadratureRule, x, times, events,
     The observed time and the K node times are evaluated in a single
     forward pass, so the covariate embedding is shared by the event and
     cumulative-hazard terms.  The batch mean is one op with its own gradient.
+    A log-hazard or Lambda that is not finite raises NumericDomainError
+    naming the subject's index in the batch.
     """
     times = np.asarray(times, dtype=np.float64)
     events = np.asarray(events, dtype=np.float64)
     b = len(times)
     if b == 0:
         raise ContractError("nll_loss requires a nonempty batch")
-    try:
-        f = model.forward(model.params, x, rule.points(times),
-                          training=training, rng=rng)
-        event_term, cumhaz = _terms(f.values, rule, times, events)
-    except NumericDomainError as err:
-        raise _locate_subject(err, b, rule.order + 1) from None
+    f = model.forward(model.params, x, rule.points(times),
+                      training=training, rng=rng)
+    event_term, cumhaz = _terms(f.values, rule, times, events)
 
     def grad_f(g):
         # d/df_obs = -delta / b; d/df_k = (t/2) w_k exp f_k / b
@@ -118,23 +123,7 @@ def nll_loss(model: HazardModel, rule: QuadratureRule, x, times, events,
                        * np.exp(f.values[:, 1:]))
         return grad
 
-    return ad.record(np.mean(cumhaz - event_term), "nll_loss", (f, grad_f))
-
-
-def _locate_subject(err: NumericDomainError, batch: int, width: int):
-    """Map a non-finite position in a (batch, ...) or (batch*width, ...)
-    intermediate back to the offending subject index."""
-    subject = None
-    if err.positions and err.shape:
-        flat_row = err.positions[0] // max(int(np.prod(err.shape[1:])), 1)
-        rows = err.shape[0]
-        if rows == batch:
-            subject = flat_row
-        elif rows == batch * width:
-            subject = flat_row // width
-    detail = f" (subject index {subject})" if subject is not None else ""
-    return NumericDomainError(f"non-finite loss{detail}: {err}",
-                              positions=err.positions, shape=err.shape)
+    return ad.record(np.mean(cumhaz - event_term), (f, grad_f))
 
 
 def nll_terms(model: HazardModel, rule: QuadratureRule, x, times, events):
@@ -180,10 +169,15 @@ def adamw_step(params: dict, grads: dict, state: AdamWState, lr: float,
 
 
 def clip_gradients(grads: dict, max_norm: float) -> bool:
+    """Scale ``grads`` in place to a global L2 norm of at most ``max_norm``;
+    True if they were scaled.  NumericDomainError if the norm is not finite
+    (a NaN gradient, or a square that overflows)."""
     total = 0.0
     for g in grads.values():
         total += float(np.sum(g * g))
     norm = math.sqrt(total)
+    if not math.isfinite(norm):
+        raise NumericDomainError(f"non-finite gradient norm ({norm})")
     if norm > max_norm:
         factor = max_norm / norm
         for g in grads.values():

@@ -100,14 +100,6 @@ def test_elementwise_gradients_match_fd(kind):
     assert_grads_close(x.grad, fd_grad(loss_value, x.values))
 
 
-def test_record_rejects_non_finite_values():
-    x = ad.tensor([[1.0, 1e308]])
-    with pytest.raises(NumericDomainError) as exc:
-        ad.mul(x, np.array([[2.0, 10.0]]))
-    assert exc.value.positions == [1]
-    assert "non-finite values produced by mul" in str(exc.value)
-
-
 def test_unknown_kind_rejected():
     with pytest.raises(ContractError):
         ad.elementwise("swish", ad.tensor([[0.0]]))
@@ -312,6 +304,18 @@ def test_leaf_gradients_own_their_memory():
     assert clip_gradients(grads, 0.5)
     for p, g in zip(leaves, before):
         np.testing.assert_array_equal(p.grad, g * (0.5 / norm))
+
+
+@pytest.mark.parametrize("bad", [1e200, math.nan])
+def test_clip_gradients_rejects_non_finite_norm(bad):
+    # 1e200 squared overflows the norm to inf, which used to scale every
+    # gradient to 0; a NaN norm used to skip clipping and reach the update
+    grads = {"a": np.array([1.0, bad]), "b": np.array([2.0])}
+    before = {k: g.copy() for k, g in grads.items()}
+    with pytest.raises(NumericDomainError, match="non-finite gradient norm"):
+        clip_gradients(grads, 10.0)
+    for k, g in grads.items():
+        np.testing.assert_array_equal(g, before[k])
 
 
 # --- batch norm and dropout -----------------------------------------------------

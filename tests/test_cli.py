@@ -607,6 +607,17 @@ def test_sweep_single_cell_matches_train_evaluate_composition(tmp_path):
     assert float(row["iae_hazard"]) == pytest.approx(err_h, abs=1e-15)
 
 
+def test_sweep_non_finite_iae_is_an_error_row(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "l1_error", lambda *args: (0.25, math.inf, math.inf))
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep-nodes", "scenario1", "--k-list", "3", "--seeds", "1",
+                "--epochs", 1, "--out", out]) == 0
+    with open(out) as fh:
+        (row,) = csv.DictReader(fh)
+    assert [row[c] for c in ("iae_survival", "iae_cumhaz", "iae_hazard")] == ["", "", ""]
+    assert row["error"] == "non-finite IAE: survival 0.25, cumhaz inf, hazard inf"
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--seeds", "a"), ("--seeds", ""), ("--seeds", "0,1.5"), ("--seeds", "0,-1"),
     ("--k-list", "3,x"), ("--k-list", ""),

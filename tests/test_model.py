@@ -13,7 +13,7 @@ from quadsurv import autodiff as ad
 from quadsurv import cli
 from quadsurv import model as model_module
 from quadsurv.data import Standardizer
-from quadsurv.errors import ContractError, DataError, ShapeError
+from quadsurv.errors import ContractError, DataError, NumericDomainError, ShapeError
 from quadsurv.model import FittedModel, HazardModel, ModelConfig
 from quadsurv.quadrature import build_rule, cumulative_hazard
 from quadsurv.training import nll_loss
@@ -249,6 +249,27 @@ def test_film_identity_modulation_is_time_independent():
     film.params["film.beta.b"].values[:] = 0.0
     vals = film.log_hazard_matrix(np.array([[0.3, 0.9]]), [0.0, 1.0, 2.5, 7.0])
     assert vals.max() - vals.min() < 1e-14
+
+
+# --- finiteness of the output ------------------------------------------------------
+
+@pytest.mark.parametrize("bad, subject", [(math.inf, 2), (math.nan, 0)])
+@pytest.mark.parametrize("cond", ["concat", "film", "lora"])
+def test_forward_rejects_non_finite_values(cond, bad, subject):
+    """One bad weight of the first layer: relu maps -inf to 0, so an infinite
+    weight reaches the output only for the subject whose covariate is
+    positive, while NaN reaches every subject."""
+    model = make_model(cond, hidden=(8,), activation="relu")
+    model.params["backbone.0.W"].values[0, 0] = bad
+    x = np.array([[-1.0, 0.5], [-2.0, 0.1], [1.0, -0.3], [-0.5, 0.2]])
+    times = np.arange(1.0, 13.0).reshape(4, 3) / 4.0
+    for t, first in [(times, times[subject, 0]), (times[0], times[0, 0])]:
+        with pytest.raises(NumericDomainError) as exc:
+            model.forward(model.params, x, t)
+        assert str(exc.value) == (f"non-finite log-hazard (subject index {subject}, "
+                                  f"time {float(first)!r})")
+    with pytest.raises(NumericDomainError, match=rf"\(subject index {subject}[,)]"):
+        nll_loss(model, build_rule(4), x, times[:, 0], np.ones(4))
 
 
 # --- recorded path equals evaluation path -----------------------------------------------

@@ -121,6 +121,20 @@ def test_nonfinite_loss_identifies_subject():
     assert "subject index 2" in str(exc.value)
 
 
+def test_saturated_overflow_trains_on():
+    # a pre-activation that overflows inside the matmul saturates tanh to 1,
+    # whose backward rule is exactly 0: the loss and gradients stay finite
+    model = constant_hazard_model(1.0)
+    model.params["backbone.0.W"].values[:] = 1e200
+    model.params["head.W"].values[:] = 0.5
+    x = np.array([[1e200], [0.5]])
+    loss = nll_loss(model, build_rule(4), x, np.array([1.0, 2.0]), np.array([1, 0]))
+    ad.backward(loss)
+    assert math.isfinite(float(loss.values))
+    for p in model.params.values():
+        assert np.all(np.isfinite(p.grad))
+
+
 def test_overflowing_validation_hazard_gives_infinite_val_loss():
     model = constant_hazard_model(1.0)
     model.params["head.b"].values[:] = 800.0  # exp overflows at every node
@@ -292,7 +306,7 @@ def test_divergence_aborts_with_last_finite_snapshot():
                          activation="tanh", k_nodes=5, learning_rate=1e6,
                          grad_clip=1e12, val_grid_points=16)
     res = train(cfg, small_dataset())
-    # the reason keeps the subject that _locate_subject found and the op
+    # the hazard overflows before any log-hazard does: the reason is Lambda's
     assert res.abort_reason.startswith("non-finite loss (subject index ")
     assert "non-finite values produced by" in res.abort_reason
     for arr in res.model.state_arrays().values():
