@@ -38,7 +38,8 @@ from .quadrature import QuadratureRule
 
 CONDITIONING_KINDS = ("concat", "film", "lora")
 ACTIVATIONS = ("tanh", "softplus", "gelu", "sigmoid", "relu")
-CHUNK_CELLS = 16_000_000  # bound on one chunk of ``HazardModel.curves``
+CHUNK_CELLS = 16_000_000  # bound on the cells of one pass of ``HazardModel.curves``
+TILE_CELLS = 131_072  # cache-sized bound on one ``concat`` tile's activations
 _KINDS = {bool: "true or false", int: "an integer", float: "a finite number",
           str: "a string"}
 
@@ -146,14 +147,23 @@ class ModelConfig(Architecture):
               "time_scale": (lambda v: v > 0, "time_scale must be positive, got {}")}
 
 
-def _finite_output(f: ad.Tensor, times) -> ad.Tensor:
+def _finite_output(f: ad.Tensor, times, first: int = 0) -> ad.Tensor:
     """``f``, or NumericDomainError naming the subject and time of its first
-    value that is not finite."""
+    value that is not finite; row i of ``f`` is subject ``first + i``."""
     if not np.all(np.isfinite(f.values)):
         i, j = np.argwhere(~np.isfinite(f.values))[0]
         t = float(times[j] if times.ndim == 1 else times[i, j])
-        raise NumericDomainError(f"non-finite log-hazard (subject index {i}, time {t!r})")
+        raise NumericDomainError(
+            f"non-finite log-hazard (subject index {first + i}, time {t!r})")
     return f
+
+
+def _even_slices(size: int, most: int) -> list[slice]:
+    """``range(size)`` cut into the fewest slices of at most ``most`` items,
+    whose lengths differ by at most one (no slices for size 0)."""
+    count = -(-size // most)
+    edges = [i * size // count for i in range(count + 1)] if count else []
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
 def _glorot(rng, d_out, d_in):
@@ -272,22 +282,32 @@ class HazardModel:
         time branch and one dot product.  An output that is not finite raises
         ``NumericDomainError`` naming its subject index and time.
         """
-        cfg = self.config
+        x, times = self._inputs(x, times)
+        return _finite_output(self._log_hazard(p, x, times, training, rng), times)
+
+    def _inputs(self, x, times):
+        """``x`` and ``times`` as float arrays of the shapes ``forward``
+        takes, or ShapeError."""
         x = np.asarray(x, dtype=np.float64)
         times = np.asarray(times, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != cfg.input_dim:
-            raise ShapeError(
-                f"covariates have shape {x.shape}, expected (batch, {cfg.input_dim})")
+        if x.ndim != 2 or x.shape[1] != self.config.input_dim:
+            raise ShapeError(f"covariates have shape {x.shape}, expected "
+                             f"(batch, {self.config.input_dim})")
         if times.ndim not in (1, 2) or (times.ndim == 2 and times.shape[0] != x.shape[0]):
             raise ShapeError(
                 f"times have shape {times.shape}, expected ({x.shape[0]}, n) or (n,)")
+        return x, times
+
+    def _log_hazard(self, p, x, times, training=False, rng=None) -> ad.Tensor:
+        """``forward`` on checked inputs, without the check of its output."""
+        cfg = self.config
         b, r = x.shape[0], times.shape[-1]
         if cfg.conditioning == "concat":
             t_col = np.broadcast_to(times, (b, r)).reshape(-1, 1)
             inp = ad.tensor(np.hstack([np.repeat(x, r, axis=0),
                                        t_col / cfg.time_scale]))
             f = ad.affine(p["head.W"], p["head.b"], self._backbone(p, inp, training, rng))
-            return _finite_output(ad.reshape(f, (b, r)), times)
+            return ad.reshape(f, (b, r))
 
         t_col = ad.tensor(times.reshape(-1, 1))
         h = self._backbone(p, ad.tensor(x), training, rng)
@@ -313,7 +333,7 @@ class HazardModel:
         else:
             f = ad.reduce_sum(ad.mul(ad.tile_rows(a, r), c), axis=1)
             f = ad.reshape(f if bias is None else ad.add(f, bias), (b, r))
-        return _finite_output(f, times)
+        return f
 
     def log_hazard_matrix(self, x, times):
         """``forward`` in evaluation mode on constant views of the parameters,
@@ -323,14 +343,28 @@ class HazardModel:
     def curves(self, x, grid, rule: QuadratureRule):
         """Hazard, cumulative hazard and survival over a shared time grid.
 
-        Returns three arrays of shape (n_subjects, len(grid)).  Each chunk of
-        grid points is one forward pass over their ``rule.points``, summed by
-        ``rule.cumhaz``.  A chunk holds at most ``CHUNK_CELLS`` backbone activations
-        (``concat``, n (K+1) sum(hidden) per point) or output cells (``film``
-        and ``lora``, n (K+1) per point), and at least one point, so with
-        very large n memory grows linearly in n.
+        Returns three arrays of shape (n_subjects, len(grid)).  Each tile of
+        subjects x grid points is one forward pass over the points'
+        ``rule.points``, summed by ``rule.cumhaz``, and each (subject, point)
+        pair lies in exactly one tile.
+
+        * ``concat`` runs K+1 backbone rows per pair.  A tile holds at most
+          ``TILE_CELLS`` (and ``CHUNK_CELLS``) activations of the widest
+          hidden layer, so each layer's array stays in cache: every point of
+          as many subjects as fit, or else part of one subject's points (at
+          least one).  Tiles are cut to nearly equal sizes.  Beside the three
+          outputs, memory is bounded for any n.
+        * ``film`` and ``lora`` run the backbone once per tile, so a tile
+          holds every subject and as many points as keep its n (K+1) output
+          cells within ``CHUNK_CELLS`` (at least one); memory grows linearly
+          in n.
+
+        Rows are independent, so values do not depend on the tiling as long
+        as the BLAS computes each row of a product alike for any row count
+        (OpenBLAS does, except for products of a few dozen rows).  A
+        log-hazard that is not finite raises ``NumericDomainError`` naming
+        its subject's index in ``x`` and its time.
         """
-        x = np.asarray(x, dtype=np.float64)
         grid = np.asarray(grid, dtype=np.float64)
         if grid.ndim != 1 or len(grid) == 0:
             raise ContractError("grid must be a nonempty 1-d array")
@@ -339,23 +373,32 @@ class HazardModel:
                 f"grid must be finite, got points from {grid[0]} to {grid[-1]}")
         if np.any(np.diff(grid) < 0) or grid[0] < 0:
             raise ContractError("grid must be ascending and nonnegative")
+        x = self._inputs(x, grid)[0]
         n, g, k = x.shape[0], len(grid), rule.order
-        width = sum(self.config.hidden) if self.config.conditioning == "concat" else 1
-        chunk = max(1, CHUNK_CELLS // max(n * (k + 1) * width, 1))
+        if self.config.conditioning == "concat":
+            # subjects outer, points inner; at most ``pairs`` pairs per tile
+            pairs = max(1, min(TILE_CELLS, CHUNK_CELLS)
+                        // ((k + 1) * max(self.config.hidden)))
+            points = min(g, pairs)
+            tiles = [(rows, cols) for rows in _even_slices(n, pairs // points)
+                     for cols in _even_slices(g, points)]
+        else:
+            points = max(1, CHUNK_CELLS // max(n * (k + 1), 1))
+            tiles = [(slice(0, n), slice(s, s + points)) for s in range(0, g, points)]
 
         p = self._constants()
+        nodes = rule.points(grid)
         lam, cumhaz = np.empty((n, g)), np.empty((n, g))
-        for start in range(0, g, chunk):
-            block = grid[start:start + chunk]
-            m = len(block)
+        for rows, cols in tiles:
             # node-major times, so each node's hazards are m-long runs; the
             # forward's output is a fresh array, used in place
-            f = self.forward(p, x, rule.points(block).T.ravel()).values
-            f = f.reshape(n, k + 1, m)
+            xs, block, times = x[rows], grid[cols], nodes[cols].T.ravel()
+            f = _finite_output(self._log_hazard(p, xs, times), times, rows.start)
+            f = f.values.reshape(len(xs), k + 1, len(block))
             with np.errstate(over="ignore"):
                 np.exp(f, out=f)
-            lam[:, start:start + m] = f[:, 0]
-            cumhaz[:, start:start + m] = rule.cumhaz(f[:, 1:].transpose(1, 0, 2), block)
+            lam[rows, cols] = f[:, 0]
+            cumhaz[rows, cols] = rule.cumhaz(f[:, 1:].transpose(1, 0, 2), block)
         return lam, cumhaz, np.exp(-cumhaz)
 
     # --- state -------------------------------------------------------------

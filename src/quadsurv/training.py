@@ -276,14 +276,16 @@ def train(config: TrainingConfig, dataset: SurvivalData) -> TrainResult:
                     epoch_clips += 1
                 adamw_step(model.params, grads, opt_state, lr, config.weight_decay)
                 epoch_loss += float(loss.values) * len(batch)
+            # validation curves that are not finite end training as a failing
+            # step does: this epoch is not logged
+            val_loss, val_ctd, val_ibs = _validation_metrics(
+                model, rule, x_val, dval.time, dval.event, ghat, val_grid)
         except NumericDomainError as err:
             abort_reason = str(err)
 
         if abort_reason is not None:
             break
         train_loss = epoch_loss / n
-        val_loss, val_ctd, val_ibs = _validation_metrics(
-            model, rule, x_val, dval.time, dval.event, ghat, val_grid)
         log.append({"epoch": epoch, "train_loss": train_loss,
                     "val_loss": val_loss, "val_ctd": val_ctd, "lr": lr,
                     "val_ibs": val_ibs, "clipped_steps": epoch_clips})
@@ -306,7 +308,8 @@ def train(config: TrainingConfig, dataset: SurvivalData) -> TrainResult:
     if best["state"] is not None:
         model.load_state_arrays(best["state"])
     # on divergence with no completed epoch, the current parameters are the
-    # last finite snapshot: the failing step raised before its update
+    # last finite snapshot: the failing step raised before its update (a
+    # failing first validation keeps the finite parameters it scored)
 
     return TrainResult(model=model, rule=rule, scaler=scaler, config=config,
                        log=log, best_epoch=best["epoch"], best_val_ctd=best["ctd"],

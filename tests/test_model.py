@@ -203,6 +203,24 @@ def test_concat_curves_memory_bounded():
     assert peak < 400e6
 
 
+def test_concat_curves_memory_flat_in_n():
+    """Concat tiles split the subjects too: 20,000 subjects x 2 points
+    (K = 15) peak far below one pass over all subjects (257 MB), and no
+    subjects still give three (0, G) arrays."""
+    model = make_model("concat", input_dim=1, hidden=(32, 32))
+    rule, grid = build_rule(15), np.array([0.5, 2.0])
+    x = np.random.default_rng(0).normal(size=(20_000, 1))
+    tracemalloc.start()
+    try:
+        model.curves(x, grid, rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+    for arr in model.curves(np.empty((0, 1)), grid, rule):
+        assert arr.shape == (0, 2)
+
+
 # --- head equivalence at zero modulation ------------------------------------------------
 
 def test_heads_coincide_at_zero_modulation():
@@ -255,10 +273,11 @@ def test_film_identity_modulation_is_time_independent():
 
 @pytest.mark.parametrize("bad, subject", [(math.inf, 2), (math.nan, 0)])
 @pytest.mark.parametrize("cond", ["concat", "film", "lora"])
-def test_forward_rejects_non_finite_values(cond, bad, subject):
+def test_forward_rejects_non_finite_values(cond, bad, subject, monkeypatch):
     """One bad weight of the first layer: relu maps -inf to 0, so an infinite
     weight reaches the output only for the subject whose covariate is
-    positive, while NaN reaches every subject."""
+    positive, while NaN reaches every subject.  ``curves`` names the index
+    in the whole batch, also from a later tile."""
     model = make_model(cond, hidden=(8,), activation="relu")
     model.params["backbone.0.W"].values[0, 0] = bad
     x = np.array([[-1.0, 0.5], [-2.0, 0.1], [1.0, -0.3], [-0.5, 0.2]])
@@ -270,6 +289,11 @@ def test_forward_rejects_non_finite_values(cond, bad, subject):
                                   f"time {float(first)!r})")
     with pytest.raises(NumericDomainError, match=rf"\(subject index {subject}[,)]"):
         nll_loss(model, build_rule(4), x, times[:, 0], np.ones(4))
+    monkeypatch.setattr(model_module, "CHUNK_CELLS", 1)
+    with pytest.raises(NumericDomainError) as exc:
+        model.curves(x, times[0], build_rule(4))
+    assert str(exc.value) == (f"non-finite log-hazard (subject index {subject}, "
+                              f"time {float(times[0, 0])!r})")
 
 
 # --- recorded path equals evaluation path -----------------------------------------------

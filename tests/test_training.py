@@ -313,6 +313,26 @@ def test_divergence_aborts_with_last_finite_snapshot():
         assert np.all(np.isfinite(arr))
 
 
+def test_non_finite_validation_curves_end_training(monkeypatch):
+    """A validation log-hazard that is not finite ends training like a
+    failing step: the epoch is not logged and the last snapshot is kept."""
+    curves, calls = HazardModel.curves, []
+
+    def failing_second_call(self, *args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise NumericDomainError("non-finite log-hazard (subject index 3, time 0.5)")
+        return curves(self, *args)
+
+    monkeypatch.setattr(HazardModel, "curves", failing_second_call)
+    cfg = TrainingConfig(max_epochs=4, batch_size=32, hidden=(8,), rank=2,
+                         activation="tanh", k_nodes=5, val_grid_points=16)
+    res = train(cfg, small_dataset())
+    assert res.abort_reason == "non-finite log-hazard (subject index 3, time 0.5)"
+    assert [rec["epoch"] for rec in res.log] == [0]
+    assert res.best_epoch == 0
+
+
 def test_loss_decreases_on_crossing_hazards_data():
     # epoch-10 training loss below epoch-1 in at least 19 of 20 seeds
     wins = 0
