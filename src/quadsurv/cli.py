@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import base64
-import csv
 import hashlib
 import json
 import sys
@@ -22,7 +21,8 @@ import numpy as np
 
 from . import __version__
 from . import metrics as mx
-from .data import Standardizer, load_covariates, load_csv, save_csv
+from .data import (Standardizer, load_covariates, load_csv, save_csv,
+                   write_columns as _write_rows)
 from .errors import (DataError, DegenerateDataError, IngestionError,
                      NumericDomainError, QuadSurvError, UsageError)
 from .model import FittedModel, HazardModel, ModelConfig, config_from_dict
@@ -59,12 +59,12 @@ def _write_json(path: Path, payload) -> None:
         fh.write("\n")
 
 
-def _write_manifest(out_dir: Path, command: str, seed, config_payload,
+def _write_manifest(out_dir: Path, args, seed, config_payload,
                     inputs, outputs, t_start) -> None:
     manifest = {
         "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "argv": sys.argv[1:],
+        "command": args.command,
+        "argv": args.argv,
         "seed": seed,
         "config_hash": _config_hash(config_payload),
         "inputs": {str(p): _sha256(Path(p)) for p in inputs},
@@ -151,20 +151,6 @@ def _read_json_object(path, parse):
         raise UsageError(f"{path}: {err}") from None
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
-
-
-def _write_rows(path: Path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
 # --- commands -----------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
@@ -178,19 +164,17 @@ def cmd_simulate(args) -> int:
     save_csv(sim.test, out / "test.csv")
 
     grid = evaluation_grid(sim.train.time)
-    rows = []
-    for name, row in sim.truth.entry.groups:
-        lam, ch, s = sim.truth.curves_matrix(np.array([row]), grid)
-        rows.extend((t, l, c, sv, name) for t, l, c, sv
-                    in zip(grid, lam[0], ch[0], s[0]))
-    mlam, mch, ms = marginalized_curves(sim.truth, sim.train.x, grid)
-    rows.extend((t, l, c, sv, "marginal") for t, l, c, sv in zip(grid, mlam, mch, ms))
-    _write_rows(out / "truth.csv", ["t", "lambda", "cumhaz", "survival", "group"], rows)
+    groups = sim.truth.entry.groups
+    curves = [sim.truth.curves_matrix(np.array([row]), grid) for _, row in groups]
+    curves.append(marginalized_curves(sim.truth, sim.train.x, grid))
+    _write_rows(out / "truth.csv", ["t", "lambda", "cumhaz", "survival", "group"],
+                [np.tile(grid, len(curves)), *(np.vstack(f).ravel() for f in zip(*curves)),
+                 np.repeat([*(name for name, _ in groups), "marginal"], len(grid))])
 
     config_payload = {"family": args.family, "seed": args.seed,
                       "n_train": args.n_train, "n_test": args.n_test,
                       "censoring": args.censoring}
-    _write_manifest(out, "simulate", args.seed, config_payload, [],
+    _write_manifest(out, args, args.seed, config_payload, [],
                     [out / "train.csv", out / "test.csv", out / "truth.csv"], t0)
     print(f"wrote {args.n_train}+{args.n_test} subjects to {out} "
           f"(realized censoring {sim.realized_censoring:.3f})")
@@ -212,7 +196,7 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write_checkpoint(out / "checkpoint.json", result, data.columns)
     write_log_ndjson(result.log, out / "log.ndjson")
-    _write_manifest(out, "train", cfg.seed,
+    _write_manifest(out, args, cfg.seed,
                     {**asdict(cfg), "schema_version": SCHEMA_VERSION},
                     [args.config, args.train_csv],
                     [out / "checkpoint.json", out / "log.ndjson"], t0)
@@ -250,7 +234,7 @@ def cmd_evaluate(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     _write_json(out, report)
-    _write_manifest(out.parent, "evaluate", None,
+    _write_manifest(out.parent, args, None,
                     {"checkpoint": str(args.checkpoint)},
                     [args.checkpoint, args.test_csv, args.train_csv], [out], t0)
     print(json.dumps({h: report["horizons"][h]["ctd"] for h in report["horizons"]}))
@@ -263,22 +247,22 @@ def _load_covariates(path, columns):
 
 def cmd_predict(args) -> int:
     t0 = _time.perf_counter()
+    if args.grid_points < 1:
+        raise UsageError(f"--grid-points must be at least 1, got {args.grid_points}")
     fitted, columns = load_checkpoint(args.checkpoint)
     x = _load_covariates(args.covariates_csv, columns)
     grid = np.linspace(args.grid_min, args.grid_max, args.grid_points)
     lam, ch, s = _finite_curves(fitted, x, grid)
-    rows = []
-    for i in range(len(x)):
-        rows.extend((i, t, lam[i, j], ch[i, j], s[i, j])
-                    for j, t in enumerate(grid))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    _write_rows(out, ["subject_id", "t", "hazard", "cumhaz", "survival"], rows)
-    _write_manifest(out.parent, "predict", None,
+    _write_rows(out, ["subject_id", "t", "hazard", "cumhaz", "survival"],
+                [np.repeat(np.arange(len(x)), len(grid)), np.tile(grid, len(x)),
+                 lam.ravel(), ch.ravel(), s.ravel()])
+    _write_manifest(out.parent, args, None,
                     {"grid_min": args.grid_min, "grid_max": args.grid_max,
                      "grid_points": args.grid_points},
                     [args.checkpoint, args.covariates_csv], [out], t0)
-    print(f"wrote {len(rows)} curve rows to {out}")
+    print(f"wrote {lam.size} curve rows to {out}")
     return 0
 
 
@@ -302,12 +286,10 @@ def cmd_sweep_nodes(args) -> int:
     if args.epochs is not None:
         base["max_epochs"] = args.epochs
 
-    def run_cell(seed, k):
-        sim = generate(GeneratorSpec(family=args.family), seed)
+    def run_cell(sim, grid, seed, k):
         cfg = TrainingConfig(seed=seed, k_nodes=k, **base)
         try:
             result = train(cfg, sim.train)
-            grid = evaluation_grid(sim.train.time)
             iae = l1_error(result, sim.truth, sim.test.x, grid)
             if not np.all(np.isfinite(iae)):
                 # the fit's hazard overflows on the grid: an error, as in predict
@@ -317,13 +299,17 @@ def cmd_sweep_nodes(args) -> int:
         except QuadSurvError as err:
             return (args.family, k, seed, "", "", "", "", str(err))
 
-    rows = [run_cell(seed, k) for seed in seeds for k in k_list]
+    rows = []
+    for seed in seeds:
+        sim = generate(GeneratorSpec(family=args.family), seed)
+        grid = evaluation_grid(sim.train.time)
+        rows.extend(run_cell(sim, grid, seed, k) for k in k_list)
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     _write_rows(out, ["family", "k", "seed", "iae_survival", "iae_cumhaz",
-                      "iae_hazard", "wall_clock_s", "error"], rows)
-    _write_manifest(out.parent, "sweep-nodes", seeds,
+                      "iae_hazard", "wall_clock_s", "error"], list(zip(*rows)))
+    _write_manifest(out.parent, args, seeds,
                     {"family": args.family, "k_list": k_list, "seeds": seeds,
                      "protocol": {**base, "hidden": list(base["hidden"])}},
                     [], [out], t0)
@@ -343,13 +329,11 @@ def cmd_hpo(args) -> int:
     rows = [(r.index, len(r.sample["hidden"]), r.sample["hidden"][0],
              r.sample["learning_rate"], r.sample["weight_decay"],
              r.sample["dropout"], r.sample["batch_size"], r.sample["batchnorm"],
-             "" if r.val_ctd is None else r.val_ctd,
-             "" if r.val_ibs is None else r.val_ibs,
-             r.error or "") for r in records]
+             r.val_ctd, r.val_ibs, r.error) for r in records]
     _write_rows(out / "trials.csv",
                 ["trial", "n_layers", "hidden", "learning_rate", "weight_decay",
                  "dropout", "batch_size", "batchnorm", "val_ctd", "val_ibs",
-                 "error"], rows)
+                 "error"], list(zip(*rows)))
     if best_res is None:
         errors = [r.error for r in records if r.error is not None]
         first = f" (first: {errors[0]})" if errors else ""
@@ -357,7 +341,7 @@ def cmd_hpo(args) -> int:
             f"no search trial has a validation C_td: {len(errors)} of {args.trials} "
             f"raised an error{first}, {args.trials - len(errors)} had an undefined C_td")
     _write_checkpoint(out / "checkpoint.json", best_res, data.columns)
-    _write_manifest(out, "hpo", args.seed,
+    _write_manifest(out, args, args.seed,
                     {"space": space_payload, "trials": args.trials},
                     [args.space, args.train_csv],
                     [out / "checkpoint.json", out / "trials.csv"], t0)
@@ -446,6 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.argv = list(sys.argv[1:] if argv is None else argv)
     try:
         return args.fn(args)
     except QuadSurvError as err:

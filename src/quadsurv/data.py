@@ -1,15 +1,16 @@
-"""Survival datasets: CSV ingestion, standardization, stratified splits.
+"""Survival datasets: CSV reading and writing, standardization, stratified splits.
 
-This module holds the only CSV reader.  A file has one header row.  The
-``time`` and ``event`` columns are required for training and evaluation;
-for prediction they are optional and not read.  Every other column is a
-covariate.  Without a column list the covariates are kept in header order;
-with one (the checkpoint's) they are bound by header name, so the file may
-order them freely, and the result follows the list's order.  A covariate
-column missing from the file or not in the list, a duplicate column, an
-empty, non-numeric or non-finite cell, and a negative time are data errors
-that name the column and, for a cell, the row.  Floats are written with
-``repr`` so a simulate -> ingest round trip is exact.
+This module holds the only CSV reader and the only CSV writer.  A file has
+one header row.  The ``time`` and ``event`` columns are required for
+training and evaluation; for prediction they are optional and not read.
+Every other column is a covariate.  Without a column list the covariates
+are kept in header order; with one (the checkpoint's) they are bound by
+header name, so the file may order them freely, and the result follows the
+list's order.  A covariate column missing from the file or not in the list,
+a duplicate column, an empty, non-numeric or non-finite cell, and a
+negative time are data errors that name the column and, for a cell, the
+row.  ``write_columns`` writes every CSV the package produces, floats as
+their ``repr``, so a write -> read round trip is exact.
 """
 
 from __future__ import annotations
@@ -156,15 +157,23 @@ def load_covariates(path, columns) -> np.ndarray:
     return _read(path, columns, outcomes=False)[0]
 
 
-def save_csv(data: SurvivalData, path) -> None:
+def write_columns(path, header, columns) -> None:
+    """Write ``header`` and then one row per position of ``columns``.
+
+    Array columns are written through ``.tolist()``; the csv module writes a
+    float as its ``repr`` and ``None`` as an empty cell.  Columns of unequal
+    length raise ``ValueError``.
+    """
+    cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(data.columns) + ["time", "event"])
-        for i in range(len(data)):
-            row = [repr(float(v)) for v in data.x[i]]
-            row.append(repr(float(data.time[i])))
-            row.append(str(int(data.event[i])))
-            writer.writerow(row)
+        writer.writerow(header)
+        writer.writerows(zip(*cells, strict=True))
+
+
+def save_csv(data: SurvivalData, path) -> None:
+    write_columns(path, [*data.columns, "time", "event"],
+                  [*data.x.T, data.time, data.event])
 
 
 class Standardizer:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from quadsurv import cli
-from quadsurv.data import Standardizer, load_csv
+from quadsurv.data import Standardizer, load_csv, write_columns
 from quadsurv.model import FittedModel, HazardModel, ModelConfig
 from quadsurv.quadrature import build_rule
 from quadsurv.simulation import (FAMILIES, TABLE, GeneratorSpec, generate,
@@ -163,6 +163,8 @@ def test_simulate_family_entry(tmp_path, family):
 def test_manifest_contents(sim_dir):
     manifest = json.loads((sim_dir / "manifest.json").read_text())
     assert manifest["command"] == "simulate"
+    assert manifest["argv"] == ["simulate", "exponential", "--seed", "3", "--n-train",
+                                "300", "--n-test", "120", "--out", str(sim_dir)]
     assert manifest["seed"] == 3
     assert set(manifest["outputs"]) >= {str(sim_dir / "train.csv")}
     for digest in manifest["outputs"].values():
@@ -379,11 +381,20 @@ def test_negative_time_cell_exit_3(tmp_path, sim_dir, trained, capsys, command):
     assert "negative value '-1.0' in column 'time', row 4" in err
 
 
+@pytest.mark.parametrize("points", [0, -1])
+def test_predict_grid_points_below_1_exit_2(tmp_path, sim_dir, trained, capsys, points):
+    out = tmp_path / "curves.csv"
+    assert run(["predict", trained, sim_dir / "test.csv", "--grid-max", 2.0,
+                "--grid-points", points, "--out", out]) == 2
+    assert f"--grid-points must be at least 1, got {points}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_predict_covariates_only_file_matches_full_file(tmp_path, sim_dir, trained):
     with open(sim_dir / "test.csv") as fh:
-        rows = [[row["x"]] for row in csv.DictReader(fh)]
+        xs = [row["x"] for row in csv.DictReader(fh)]
     only = tmp_path / "x.csv"
-    cli._write_rows(only, ["x"], rows)
+    write_columns(only, ["x"], [xs])
     args = ["--grid-max", 2.0, "--grid-points", 5]
     assert run(["predict", trained, sim_dir / "test.csv", *args,
                 "--out", tmp_path / "full.csv"]) == 0
@@ -543,8 +554,8 @@ def test_checkpoint_and_csv_roundtrip_through_cli(head, batchnorm, time_scale, s
         for name, cols in (("data", header), ("shuffled", shuffled),
                            ("renamed", ["w" if c == "dose" else c for c in shuffled])):
             files[name] = tmp / f"{name}.csv"
-            cli._write_rows(files[name], cols,
-                            zip(*(table["dose" if c == "w" else c] for c in cols)))
+            write_columns(files[name], cols,
+                          [table["dose" if c == "w" else c] for c in cols])
 
         grid = np.linspace(0.0, 3.0, 7)
         assert run(["predict", checkpoint, files["shuffled"], "--grid-max", 3.0,
@@ -616,6 +627,19 @@ def test_sweep_non_finite_iae_is_an_error_row(tmp_path, monkeypatch):
         (row,) = csv.DictReader(fh)
     assert [row[c] for c in ("iae_survival", "iae_cumhaz", "iae_hazard")] == ["", "", ""]
     assert row["error"] == "non-finite IAE: survival 0.25, cumhaz inf, hazard inf"
+
+
+def test_sweep_generates_each_seed_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(spec, seed):
+        calls.append(seed)
+        return generate(spec, seed)
+
+    monkeypatch.setattr(cli, "generate", counting)
+    assert run(["sweep-nodes", "scenario1", "--k-list", "1,2", "--seeds", "0",
+                "--epochs", 1, "--out", tmp_path / "sweep.csv"]) == 0
+    assert calls == [0]
 
 
 @pytest.mark.parametrize("flag, value", [
