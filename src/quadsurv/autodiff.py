@@ -112,29 +112,39 @@ def linear(w: Tensor, h: Tensor) -> Tensor:
 
 
 def _gelu(x):
-    # 0.5 * x * (1 + erf(x / sqrt 2)) with two temporaries instead of four;
-    # the operations and their order are unchanged, so values are too
+    """0.5 x (1 + erf(x / sqrt 2)), and the array erf(x / sqrt 2) + 1 that
+    the backward rule reuses."""
+    # two temporaries instead of four; the operations and their order are
+    # unchanged, so values are too
     cdf = x / _SQRT2
     erf(cdf, out=cdf)
     cdf += 1.0
     out = 0.5 * x
     out *= cdf
-    return out
+    return out, cdf
 
 
-def _gelu_grad(x, y):
+def _gelu_grad(x, cdf):
+    # 0.5 * cdf is 0.5 * (1 + erf(x / sqrt 2)) bit for bit, without a second erf
     phi = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-    cdf = 0.5 * (1.0 + erf(x / _SQRT2))
-    return cdf + x * phi
+    return 0.5 * cdf + x * phi
 
 
+def _and_output(fwd):
+    """``fwd`` returning its output twice: as the value and as the array the
+    backward rule reads."""
+    return lambda x: (fwd(x),) * 2
+
+
+# kind -> (forward: x -> (value, saved array), backward rule: (x, saved) -> dy/dx)
 _ELEMENTWISE = {
-    "tanh": (np.tanh, lambda x, y: 1.0 - y * y),
-    "softplus": (lambda x: np.logaddexp(0.0, x), lambda x, y: expit(x)),
+    "tanh": (_and_output(np.tanh), lambda x, y: 1.0 - y * y),
+    "softplus": (_and_output(lambda x: np.logaddexp(0.0, x)), lambda x, y: expit(x)),
     "gelu": (_gelu, _gelu_grad),
-    "sigmoid": (expit, lambda x, y: y * (1.0 - y)),
-    "relu": (lambda x: np.maximum(x, 0.0), lambda x, y: (x > 0.0).astype(np.float64)),
-    "sin": (np.sin, lambda x, y: np.cos(x)),
+    "sigmoid": (_and_output(expit), lambda x, y: y * (1.0 - y)),
+    "relu": (_and_output(lambda x: np.maximum(x, 0.0)),
+             lambda x, y: (x > 0.0).astype(np.float64)),
+    "sin": (_and_output(np.sin), lambda x, y: np.cos(x)),
 }
 
 ELEMENTWISE_KINDS = tuple(_ELEMENTWISE)
@@ -147,8 +157,8 @@ def elementwise(kind: str, x: Tensor) -> Tensor:
     except KeyError:
         raise ContractError(f"unknown elementwise kind {kind!r}") from None
     with np.errstate(over="ignore", invalid="ignore"):
-        out = fwd(x.values)
-    return record(out, (x, lambda g: g * dfwd(x.values, out)))
+        out, saved = fwd(x.values)
+    return record(out, (x, lambda g: g * dfwd(x.values, saved)))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:

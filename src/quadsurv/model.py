@@ -17,7 +17,9 @@ Each head is written once, in ``HazardModel.forward`` over autodiff ops,
 for per-subject times (the loss) and for a time grid shared by every
 subject (dense curves).  Training runs it on the parameters, which records
 the graph; ``log_hazard_matrix`` and ``curves`` run it on constant views of
-the same arrays, which records nothing.
+the same arrays, which records nothing.  ``curves`` integrates the hazard
+along its grid by the cumulative composite rule of
+``QuadratureRule.composite``; the loss keeps the K-node rule on [0, t].
 """
 
 from __future__ import annotations
@@ -164,6 +166,23 @@ def _even_slices(size: int, most: int) -> list[slice]:
     count = -(-size // most)
     edges = [i * size // count for i in range(count + 1)] if count else []
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+def _point_blocks(cells, most: int, least: int) -> list[slice]:
+    """``range(len(cells))`` cut into consecutive blocks of at most ``most``
+    cells each, where ``cells[j]`` is point j's; a block grows past ``most``
+    only to hold one point or ``least`` cells, and a last block of fewer than
+    ``least`` cells joins the one before."""
+    blocks, start, size = [], 0, 0
+    for j, c in enumerate(cells):
+        if size + c > most and size >= least:
+            blocks.append(slice(start, j))
+            start, size = j, 0
+        size += c
+    if blocks and size < least:
+        start = blocks.pop().start
+    blocks.append(slice(start, len(cells)))
+    return blocks
 
 
 def _glorot(rng, d_out, d_in):
@@ -343,26 +362,31 @@ class HazardModel:
     def curves(self, x, grid, rule: QuadratureRule):
         """Hazard, cumulative hazard and survival over a shared time grid.
 
-        Returns three arrays of shape (n_subjects, len(grid)).  Each tile of
-        subjects x grid points is one forward pass over the points'
-        ``rule.points``, summed by ``rule.cumhaz``, and each (subject, point)
-        pair lies in exactly one tile.
+        Returns three arrays of shape (n_subjects, len(grid)).  The hazard is
+        the forward at each grid point.  The cumulative hazard is the
+        cumulative composite rule of ``rule.composite``: Lambda(g_j) sums the
+        integrals over [g_{l-1}, g_l] for l <= j, each by its own
+        Gauss-Legendre rule, so it is non-decreasing in j and S = exp(-Lambda)
+        is non-increasing.  A (subject, point) pair costs one forward row for
+        its point and one per node of its interval: 1 + m, or 1 + K where the
+        interval is wide (see ``QuadratureRule.composite``).
 
-        * ``concat`` runs K+1 backbone rows per pair.  A tile holds at most
-          ``TILE_CELLS`` (and ``CHUNK_CELLS``) activations of the widest
-          hidden layer, so each layer's array stays in cache: every point of
-          as many subjects as fit, or else part of one subject's points (at
-          least one).  Tiles are cut to nearly equal sizes.  Beside the three
-          outputs, memory is bounded for any n.
+        Each tile of subjects x a block of consecutive grid points is one
+        forward pass, and each pair lies in exactly one tile.  A block holds
+        at least 4 (K+1) rows per subject where the grid has them.
+
+        * ``concat`` runs a backbone row for each of those rows.  A tile holds
+          at most ``TILE_CELLS`` (and ``CHUNK_CELLS``) activations of the
+          widest hidden layer, so each layer's array stays in cache: every
+          point of as many subjects as fit, or else a block of one subject's
+          points.  Beside the three outputs, memory is bounded for any n.
         * ``film`` and ``lora`` run the backbone once per tile, so a tile
-          holds every subject and as many points as keep its n (K+1) output
-          cells within ``CHUNK_CELLS`` (at least one); memory grows linearly
-          in n.
+          holds every subject and a block of points whose output cells stay
+          within ``CHUNK_CELLS``; memory grows linearly in n.
 
         Rows are independent, so values do not depend on the tiling as long
-        as the BLAS computes each row of a product alike for any row count
-        (OpenBLAS does, except for products of a few dozen rows).  A
-        log-hazard that is not finite raises ``NumericDomainError`` naming
+        as the BLAS computes each row of a product alike for any row count.
+        A log-hazard that is not finite raises ``NumericDomainError`` naming
         its subject's index in ``x`` and its time.
         """
         grid = np.asarray(grid, dtype=np.float64)
@@ -374,31 +398,42 @@ class HazardModel:
         if np.any(np.diff(grid) < 0) or grid[0] < 0:
             raise ContractError("grid must be ascending and nonnegative")
         x = self._inputs(x, grid)[0]
-        n, g, k = x.shape[0], len(grid), rule.order
+        n, g = x.shape[0], len(grid)
+        node_times, weights, edges = rule.composite(grid)
+        cells = 1 + np.diff(edges)  # forward rows per (subject, point) pair
+        # a block of points holds at least 4 (K+1) rows per subject: with
+        # fewer, a product of the forward can take another BLAS kernel than
+        # over the whole grid and move the last bits
+        least = 4 * (rule.order + 1)
         if self.config.conditioning == "concat":
-            # subjects outer, points inner; at most ``pairs`` pairs per tile
-            pairs = max(1, min(TILE_CELLS, CHUNK_CELLS)
-                        // ((k + 1) * max(self.config.hidden)))
-            points = min(g, pairs)
-            tiles = [(rows, cols) for rows in _even_slices(n, pairs // points)
-                     for cols in _even_slices(g, points)]
+            # every point of as many subjects as fit, else blocks of one
+            # subject's points
+            most = max(1, min(TILE_CELLS, CHUNK_CELLS) // max(self.config.hidden))
+            blocks = _point_blocks(cells, most, least)
+            tiles = [(rows, cols)
+                     for rows in _even_slices(n, max(1, most // int(cells.sum())))
+                     for cols in blocks]
         else:
-            points = max(1, CHUNK_CELLS // max(n * (k + 1), 1))
-            tiles = [(slice(0, n), slice(s, s + points)) for s in range(0, g, points)]
+            tiles = [(slice(0, n), cols)
+                     for cols in _point_blocks(cells, CHUNK_CELLS // max(n, 1), least)]
 
         p = self._constants()
-        nodes = rule.points(grid)
         lam, cumhaz = np.empty((n, g)), np.empty((n, g))
         for rows, cols in tiles:
-            # node-major times, so each node's hazards are m-long runs; the
-            # forward's output is a fresh array, used in place
-            xs, block, times = x[rows], grid[cols], nodes[cols].T.ravel()
-            f = _finite_output(self._log_hazard(p, xs, times), times, rows.start)
-            f = f.values.reshape(len(xs), k + 1, len(block))
+            # the block's points, then its nodes; the forward's output is a
+            # fresh array, used in place
+            first, last = edges[cols.start], edges[cols.stop]
+            times = np.concatenate([grid[cols], node_times[first:last]])
+            f = _finite_output(self._log_hazard(p, x[rows], times), times,
+                               rows.start).values
             with np.errstate(over="ignore"):
                 np.exp(f, out=f)
-            lam[rows, cols] = f[:, 0]
-            cumhaz[rows, cols] = rule.cumhaz(f[:, 1:].transpose(1, 0, 2), block)
+            points = cols.stop - cols.start
+            lam[rows, cols] = f[:, :points]
+            nodes = f[:, points:]
+            nodes *= weights[first:last]
+            cumhaz[rows, cols] = np.add.reduceat(nodes, edges[cols] - first, axis=1)
+        np.cumsum(cumhaz, axis=1, out=cumhaz)
         return lam, cumhaz, np.exp(-cumhaz)
 
     # --- state -------------------------------------------------------------

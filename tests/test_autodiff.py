@@ -100,6 +100,19 @@ def test_elementwise_gradients_match_fd(kind):
     assert_grads_close(x.grad, fd_grad(loss_value, x.values))
 
 
+def test_gelu_backward_reuses_forward_erf():
+    """The backward rule's 0.5 (erf(x / sqrt 2) + 1), taken from the forward,
+    is the recomputed 0.5 (1 + erf(x / sqrt 2)) bit for bit."""
+    from scipy.special import erf
+    x = np.concatenate([np.random.default_rng(3).normal(0.0, 4.0, size=2000),
+                        [0.0, -0.0, 1e-300, -1e-300, 8.0, -8.0, 40.0, -40.0]])
+    value, cdf = ad._gelu(x)
+    old = 0.5 * (1.0 + erf(x / math.sqrt(2.0))) \
+        + x * (np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi)))
+    assert np.array_equal(ad._gelu_grad(x, cdf), old)
+    assert np.array_equal(value, 0.5 * x * (1.0 + erf(x / math.sqrt(2.0))))
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ContractError):
         ad.elementwise("swish", ad.tensor([[0.0]]))

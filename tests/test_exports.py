@@ -75,3 +75,25 @@ def test_benchmark_library_calls(monkeypatch, tmp_path):
                     sim.train.event[:8])
     layers._graph_nodes(tracer, (), {}, loss)
     assert tracer.levels[(None, "autodiff.graph_nodes")] > 1
+
+
+def test_benchmark_backbone_rows_formula(monkeypatch):
+    # the benchmark's ``model.backbone_rows`` reads ``curves``' positional
+    # (model, x, grid, rule) arguments: n G (K+1) rows for concat, n for the
+    # heads that run the backbone once per subject
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    layers = importlib.import_module("layers")
+    tracer = importlib.import_module("tracer").Tracer()
+    x, grid, rule = np.zeros((6, 1)), np.linspace(0.1, 2.0, 5), build_rule(3)
+    layers.install_spans(tracer)
+    try:
+        for head in ("concat", "film", "lora"):
+            model = HazardModel(TrainingConfig(conditioning=head).model_config(1),
+                                np.random.default_rng(0))
+            with tracer.op(head):
+                model.curves(x, grid, rule)
+    finally:
+        tracer.unpatch_all()
+    assert tracer.counts[("concat", "model.backbone_rows")] == 6 * 5 * 4
+    assert tracer.counts[("film", "model.backbone_rows")] == 6
+    assert tracer.counts[("lora", "model.backbone_rows")] == 6

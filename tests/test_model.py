@@ -8,6 +8,7 @@ import types
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from quadsurv import autodiff as ad
 from quadsurv import cli
@@ -15,7 +16,7 @@ from quadsurv import model as model_module
 from quadsurv.data import Standardizer
 from quadsurv.errors import ContractError, DataError, NumericDomainError, ShapeError
 from quadsurv.model import FittedModel, HazardModel, ModelConfig
-from quadsurv.quadrature import build_rule, cumulative_hazard
+from quadsurv.quadrature import build_rule
 from quadsurv.training import nll_loss
 
 
@@ -137,17 +138,26 @@ def test_constant_hazard_survival_closed_form():
         assert abs(surv[0, j] - math.exp(-c * t)) < 1e-12
 
 
+def _exact_cumhaz(model, x, t):
+    """The integral of exp f(x, u) over [0, t] by adaptive quadrature."""
+    return quad(lambda u: math.exp(model.log_hazard_matrix([x], [[u]])[0, 0]),
+                0.0, t, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+
 def test_neg_log_survival_equals_cumulative_hazard():
+    """-log S is the integral of the hazard, also on a sparse grid, whose
+    wide intervals take K nodes each (with m nodes on every interval the
+    error at t = 2.4 is about 1e-7)."""
     model = make_model("film", seed=8)
     _randomize(model, seed=21)
     rule = build_rule(9)
     x = np.array([0.5, -0.7])
     grid = np.array([0.3, 1.1, 2.4])
-    _, _, surv = model.curves(x[None, :], grid, rule)
+    _, cumhaz, surv = model.curves(x[None, :], grid, rule)
     for j, t in enumerate(grid):
-        lam_int = cumulative_hazard(
-            rule, lambda u: math.exp(model.log_hazard_matrix([x], [[float(u)]])[0, 0]), t)
-        assert abs(-math.log(surv[0, j]) - lam_int) < 1e-12
+        exact = _exact_cumhaz(model, x, t)
+        assert abs(-math.log(surv[0, j]) - exact) < 1e-12
+        assert abs(cumhaz[0, j] - exact) < 1e-12 * exact
 
 
 def test_hazard_curve_consistency_and_contract():
@@ -158,14 +168,98 @@ def test_hazard_curve_consistency_and_contract():
     lam, ch, surv = (a[0] for a in model.curves(x, grid, rule))
     np.testing.assert_allclose(surv, np.exp(-ch), atol=1e-14)
     assert surv[0] == 1.0
-    # pointwise oracle: the extended-precision K-node sum of exp f
+    # pointwise oracle: the integral of exp f
     for j in (3, 11, 19):
-        ref = cumulative_hazard(
-            rule, lambda u: math.exp(model.log_hazard_matrix(x, [[float(u)]])[0, 0]),
-            grid[j])
-        assert abs(ch[j] - ref) < 1e-12
+        assert abs(ch[j] - _exact_cumhaz(model, x[0], grid[j])) < 1e-12
     with pytest.raises(ContractError):
         model.curves(x, grid[::-1], rule)
+
+
+def _wavy(cond, seed, time_scale=3.0):
+    """A default-shape model with normal(0, 0.3) parameters, except the time
+    embedding's initial frequencies: hazards that vary on the grid's scale."""
+    model = make_model(cond, input_dim=1, hidden=(32, 32), activation="gelu",
+                       rank=8, time_embed_dim=16, modulation_hidden=32,
+                       time_scale=time_scale, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    for name, p in model.params.items():
+        if name != "phi.wf":
+            p.values = rng.normal(0.0, 0.3, size=p.values.shape)
+    return model
+
+
+def _composite_reference(model, x, grid, per=12):
+    """Lambda on ``grid`` by a ``per``-node rule on every grid interval."""
+    ref = build_rule(per)
+    lower = np.concatenate([[0.0], grid[:-1]])
+    width = grid - lower
+    times = (lower[:, None] + width[:, None] * ref.unit_nodes).ravel()
+    lam = np.exp(model.log_hazard_matrix(x, np.broadcast_to(times, (len(x), len(times)))))
+    return np.cumsum(lam.reshape(len(x), len(grid), per) @ ref.weights * width / 2.0,
+                     axis=1)
+
+
+@pytest.mark.parametrize("cond", ["concat", "film", "lora"])
+def test_curves_match_composite_reference(cond):
+    """At the validation shape (400 subjects, 64 points, K = 15) Lambda is
+    within 1e-12 relative of 12 nodes per interval; one K-node rule per point
+    on [0, g_j] was off by up to 1e-4 for these film and lora models."""
+    model = _wavy(cond, seed=0)
+    x = np.random.default_rng(2).normal(size=(400, 1))
+    grid = np.linspace(0.02, 3.0, 64)
+    _, cumhaz, _ = model.curves(x, grid, build_rule(15))
+    ref = _composite_reference(model, x, grid)
+    assert np.max(np.abs(cumhaz / ref - 1.0)) < 1e-12
+
+
+@pytest.mark.parametrize("cond", ["concat", "film", "lora"])
+def test_curves_row_count(cond, monkeypatch):
+    """Rows of the forward that ``curves`` runs: at the validation shape a
+    subject costs 64 points, 4 intervals of K = 15 nodes and 60 of 4, that is
+    364 rows instead of 64 (K + 1) = 1024; no grid costs more than K + 1 rows
+    per point."""
+    rows = []
+    log_hazard = HazardModel._log_hazard
+
+    def counted(self, p, x, times, *args, **kwargs):
+        rows.append(x.shape[0] * times.shape[-1])
+        return log_hazard(self, p, x, times, *args, **kwargs)
+
+    monkeypatch.setattr(HazardModel, "_log_hazard", counted)
+    model = make_model(cond, input_dim=1, hidden=(32, 32))
+    x = np.random.default_rng(0).normal(size=(400, 1))
+    model.curves(x, np.linspace(0.02, 3.0, 64), build_rule(15))
+    assert sum(rows) == 400 * 364
+
+    rng = np.random.default_rng(1)
+    for k in (1, 2, 5, 9, 15):
+        for size in (1, 2, 3, 5, 8):
+            grid = np.sort(np.round(rng.uniform(0.0, 10.0, size), 1))
+            rows.clear()
+            model.curves(x[:7], grid, build_rule(k))
+            assert 0 < sum(rows) <= 7 * size * (k + 1)
+
+
+@pytest.mark.parametrize("cond", ["concat", "film", "lora"])
+def test_curves_monotone(cond):
+    """Lambda never falls and S never rises and stays in [0, 1], for random
+    models and grids: one from 0 (where S = 1), one with repeated points and
+    one with a wide first interval."""
+    rng = np.random.default_rng(7)
+    for seed in range(4):
+        model = _wavy(cond, seed, time_scale=rng.uniform(0.5, 3.0))
+        x = rng.normal(size=(30, 1))
+        rule = build_rule(int(rng.integers(1, 16)))
+        grids = [np.linspace(0.0, rng.uniform(1.0, 6.0), 40),
+                 np.sort(rng.choice(np.linspace(0.1, 4.0, 12), 30)),
+                 np.linspace(2.5, 4.0, 25)]
+        for grid in grids:
+            _, cumhaz, surv = model.curves(x, grid, rule)
+            assert np.all(np.diff(cumhaz, axis=1) >= 0.0)
+            assert np.all(np.diff(surv, axis=1) <= 0.0)
+            assert np.all((surv >= 0.0) & (surv <= 1.0))
+            if grid[0] == 0.0:
+                assert np.all(surv[:, 0] == 1.0)
 
 
 @pytest.mark.parametrize("batchnorm", [False, True])
@@ -327,11 +421,11 @@ def test_grid_curves_match_per_subject_forward(cond, batchnorm):
 
     lam_ref = np.exp(model.log_hazard_matrix(x, np.broadcast_to(grid, (n, 9))))
     np.testing.assert_allclose(lam, lam_ref, rtol=1e-12, atol=0.0)
-    node_times = np.broadcast_to(np.outer(grid, rule.unit_nodes).reshape(-1),
-                                 (n, 9 * rule.order))
-    lam_nodes = np.exp(model.log_hazard_matrix(x, node_times)).reshape(n, 9, -1)
-    np.testing.assert_allclose(cumhaz, grid / 2.0 * (lam_nodes @ rule.weights),
-                               rtol=1e-12, atol=0.0)
+    # the composite rule's per-interval sums of the per-subject forward
+    times, weights, edges = rule.composite(grid)
+    lam_nodes = np.exp(model.log_hazard_matrix(x, np.broadcast_to(times, (n, len(times)))))
+    pieces = np.add.reduceat(lam_nodes * weights, edges[:-1], axis=1)
+    np.testing.assert_allclose(cumhaz, np.cumsum(pieces, axis=1), rtol=1e-12, atol=0.0)
 
 
 def _reference_forward(model, p, x, times, training=False, rng=None):

@@ -298,3 +298,30 @@ def test_cumhaz_and_points_layout(k):
         one = [rule.cumhaz(hazards[i, j][:, None].copy(), t[j:j + 1])[0] for j in range(6)]
         assert np.array_equal(one, expected[i])
     assert math.isinf(expected[0, 0])
+
+
+@pytest.mark.parametrize("k", [1, 3, 4, 9, 15, 64])
+def test_composite_layout_and_exactness(k):
+    """Each interval [g_{j-1}, g_j] (g_{-1} = 0) holds its nodes, m = min(K, 4)
+    of them where m g_j >= K h_j and K elsewhere, with weights summing to its
+    width; the cumulative sums integrate a polynomial of degree 2m - 1
+    exactly, and no grid gets more than K nodes per point."""
+    rule = build_rule(k)
+    m = min(k, 4)
+    grid = np.array([0.0, 0.0, 0.3, 0.3, 0.4, 1.1, 2.4, 2.5, 2.6, 2.7, 2.8])
+    times, weights, edges = rule.composite(grid)
+    counts = np.diff(edges)
+    lower = np.concatenate([[0.0], grid[:-1]])
+    width = grid - lower
+    assert np.array_equal(counts, np.where(m * grid >= k * width, m, k))
+    assert edges[0] == 0 and edges[-1] == len(times) == len(weights) <= k * len(grid)
+    for j in range(len(grid)):
+        piece = slice(edges[j], edges[j + 1])
+        assert np.all((times[piece] >= lower[j]) & (times[piece] <= grid[j]))
+        assert math.isclose(weights[piece].sum(), width[j], rel_tol=1e-14, abs_tol=0.0)
+    coeffs = np.random.default_rng(k).normal(size=2 * m)
+    poly = np.polynomial.Polynomial(coeffs)
+    pieces = np.add.reduceat(weights * poly(times), edges[:-1])
+    exact = poly.integ()(grid)
+    np.testing.assert_allclose(np.cumsum(pieces), exact, rtol=1e-13, atol=1e-14)
+    assert np.array_equal(rule.composite([5.0])[2], [0, k])
