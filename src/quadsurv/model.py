@@ -40,8 +40,7 @@ from .quadrature import QuadratureRule
 
 CONDITIONING_KINDS = ("concat", "film", "lora")
 ACTIVATIONS = ("tanh", "softplus", "gelu", "sigmoid", "relu")
-CHUNK_CELLS = 16_000_000  # bound on the cells of one pass of ``HazardModel.curves``
-TILE_CELLS = 131_072  # cache-sized bound on one ``concat`` tile's activations
+TILE_CELLS = 131_072  # cache-sized bound on each hidden layer of one ``curves`` tile
 _KINDS = {bool: "true or false", int: "an integer", float: "a finite number",
           str: "a string"}
 
@@ -372,17 +371,13 @@ class HazardModel:
         interval is wide (see ``QuadratureRule.composite``).
 
         Each tile of subjects x a block of consecutive grid points is one
-        forward pass, and each pair lies in exactly one tile.  A block holds
-        at least 4 (K+1) rows per subject where the grid has them.
-
-        * ``concat`` runs a backbone row for each of those rows.  A tile holds
-          at most ``TILE_CELLS`` (and ``CHUNK_CELLS``) activations of the
-          widest hidden layer, so each layer's array stays in cache: every
-          point of as many subjects as fit, or else a block of one subject's
-          points.  Beside the three outputs, memory is bounded for any n.
-        * ``film`` and ``lora`` run the backbone once per tile, so a tile
-          holds every subject and a block of points whose output cells stay
-          within ``CHUNK_CELLS``; memory grows linearly in n.
+        forward pass, and each pair lies in exactly one tile.  A hidden layer
+        of a tile has at most ``TILE_CELLS // max(hidden)`` rows, so each
+        backbone layer's array stays in cache and, beside the three outputs,
+        memory is bounded for any n.  A ``concat`` hidden row is one
+        (subject, time) pair; a ``film``/``lora`` backbone row is one subject
+        and a time-branch row one time.  Blocks and subject tiles are not cut
+        below 4 (K+1) rows where the grid and x have them.
 
         Rows are independent, so values do not depend on the tiling as long
         as the BLAS computes each row of a product alike for any row count.
@@ -401,21 +396,18 @@ class HazardModel:
         n, g = x.shape[0], len(grid)
         node_times, weights, edges = rule.composite(grid)
         cells = 1 + np.diff(edges)  # forward rows per (subject, point) pair
-        # a block of points holds at least 4 (K+1) rows per subject: with
-        # fewer, a product of the forward can take another BLAS kernel than
-        # over the whole grid and move the last bits
+        # tiles keep each hidden layer within ``most`` rows, but blocks and
+        # subject tiles are not cut below ``least``: with fewer rows, a product
+        # of the forward can take another BLAS kernel and move the last bits
         least = 4 * (rule.order + 1)
-        if self.config.conditioning == "concat":
-            # every point of as many subjects as fit, else blocks of one
-            # subject's points
-            most = max(1, min(TILE_CELLS, CHUNK_CELLS) // max(self.config.hidden))
-            blocks = _point_blocks(cells, most, least)
-            tiles = [(rows, cols)
-                     for rows in _even_slices(n, max(1, most // int(cells.sum())))
-                     for cols in blocks]
-        else:
-            tiles = [(slice(0, n), cols)
-                     for cols in _point_blocks(cells, CHUNK_CELLS // max(n, 1), least)]
+        most = max(1, TILE_CELLS // max(self.config.hidden))
+        # hidden rows per subject: all its (point, node) rows for concat, one
+        # backbone row for film and lora
+        per_subject = int(cells.sum()) if self.config.conditioning == "concat" else 1
+        blocks = _point_blocks(cells, most, least)
+        tiles = [(rows, cols)
+                 for rows in _even_slices(n, max(1, max(most, least) // per_subject))
+                 for cols in blocks]
 
         p = self._constants()
         lam, cumhaz = np.empty((n, g)), np.empty((n, g))

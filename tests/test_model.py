@@ -265,8 +265,8 @@ def test_curves_monotone(cond):
 @pytest.mark.parametrize("batchnorm", [False, True])
 @pytest.mark.parametrize("cond", ["concat", "film", "lora"])
 def test_curves_chunks_stitch(cond, batchnorm, monkeypatch):
-    """One grid point per chunk gives the curves of the default chunking,
-    bit for bit."""
+    """The smallest tiles, blocks of at least 4 (K+1) rows, give the curves
+    of the default tiling, bit for bit."""
     model = make_model(cond, seed=2, batchnorm=batchnorm, time_scale=1.5)
     _randomize(model, seed=5)
     for st in model.bn_states:
@@ -275,12 +275,50 @@ def test_curves_chunks_stitch(cond, batchnorm, monkeypatch):
     x = np.random.default_rng(3).normal(size=(40, 2))
     grid = np.linspace(0.0, 4.0, 30)
     lam, ch, surv = model.curves(x, grid, rule)
-    monkeypatch.setattr(model_module, "CHUNK_CELLS", 1)
+    monkeypatch.setattr(model_module, "TILE_CELLS", 1)
     lam1, ch1, surv1 = model.curves(x, grid, rule)
     assert np.array_equal(lam1, lam)
     assert np.array_equal(ch1, ch)
     assert np.array_equal(surv1, surv)
     assert np.all(surv1[:, 0] == 1.0)
+
+
+@pytest.mark.parametrize("cond", ["film", "lora"])
+def test_curves_subject_tiles_agree(cond, monkeypatch):
+    """Over random shapes, film and lora curves cut into tiles of a few
+    hundred subjects agree with one tile of all of them: lambda and Lambda
+    within 1e-12 relative, and so S = exp(-Lambda) within 1e-12 absolute
+    (relatively, S moves Lambda times as much).  Not bit for bit: a BLAS
+    product can round a row another way for another row count."""
+    rng = np.random.default_rng(9)
+    subjects = []  # per forward pass
+    log_hazard = HazardModel._log_hazard
+
+    def counted(self, p, x, times, *args, **kwargs):
+        subjects.append(x.shape[0])
+        return log_hazard(self, p, x, times, *args, **kwargs)
+
+    for shape in range(12):
+        hidden = [(8, 8), (16,), (32, 32)][shape % 3]
+        model = make_model(cond, hidden=hidden, activation="gelu", seed=shape,
+                           batchnorm=shape % 2 == 1, time_scale=2.0)
+        _randomize(model, seed=shape)
+        for st in model.bn_states:
+            st.running_var = rng.uniform(0.5, 2.0, size=st.running_var.shape)
+        rule = build_rule((7, 15)[shape // 2 % 2])
+        n = int(rng.integers(1000, 1500))
+        x = rng.normal(size=(n, 2))
+        grid = np.sort(rng.uniform(0.0, 4.0, int(rng.integers(5, 40))))
+        whole = model.curves(x, grid, rule)
+        with monkeypatch.context() as m:
+            m.setattr(model_module, "TILE_CELLS", int(rng.integers(200, 500)) * max(hidden))
+            m.setattr(HazardModel, "_log_hazard", counted)
+            subjects.clear()
+            parts = model.curves(x, grid, rule)
+        assert 100 <= min(subjects) and max(subjects) < 500  # several tiles
+        for part, one in zip(parts[:2], whole[:2]):
+            np.testing.assert_allclose(part, one, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(parts[2], whole[2], rtol=0.0, atol=1e-12)
 
 
 def test_concat_curves_memory_bounded():
@@ -297,13 +335,14 @@ def test_concat_curves_memory_bounded():
     assert peak < 400e6
 
 
-def test_concat_curves_memory_flat_in_n():
-    """Concat tiles split the subjects too: 20,000 subjects x 2 points
-    (K = 15) peak far below one pass over all subjects (257 MB), and no
-    subjects still give three (0, G) arrays."""
-    model = make_model("concat", input_dim=1, hidden=(32, 32))
+@pytest.mark.parametrize("cond", ["concat", "film", "lora"])
+def test_curves_memory_flat_in_n(cond):
+    """Tiles split the subjects for every head: 100,000 subjects x 2 points
+    (K = 15) peak far below one pass over all subjects (film 106 MB, lora
+    80 MB), and no subjects still give three (0, G) arrays."""
+    model = make_model(cond, input_dim=1, hidden=(32, 32))
     rule, grid = build_rule(15), np.array([0.5, 2.0])
-    x = np.random.default_rng(0).normal(size=(20_000, 1))
+    x = np.random.default_rng(0).normal(size=(100_000, 1))
     tracemalloc.start()
     try:
         model.curves(x, grid, rule)
@@ -371,7 +410,9 @@ def test_forward_rejects_non_finite_values(cond, bad, subject, monkeypatch):
     """One bad weight of the first layer: relu maps -inf to 0, so an infinite
     weight reaches the output only for the subject whose covariate is
     positive, while NaN reaches every subject.  ``curves`` names the index
-    in the whole batch, also from a later tile."""
+    in the whole batch, also from a later tile: with 20 harmless subjects
+    ahead of the four, the smallest tiles hold one subject for concat and
+    12 for film and lora."""
     model = make_model(cond, hidden=(8,), activation="relu")
     model.params["backbone.0.W"].values[0, 0] = bad
     x = np.array([[-1.0, 0.5], [-2.0, 0.1], [1.0, -0.3], [-0.5, 0.2]])
@@ -383,10 +424,12 @@ def test_forward_rejects_non_finite_values(cond, bad, subject, monkeypatch):
                                   f"time {float(first)!r})")
     with pytest.raises(NumericDomainError, match=rf"\(subject index {subject}[,)]"):
         nll_loss(model, build_rule(4), x, times[:, 0], np.ones(4))
-    monkeypatch.setattr(model_module, "CHUNK_CELLS", 1)
+    monkeypatch.setattr(model_module, "TILE_CELLS", 1)
+    pad = 20 if bad == math.inf else 0  # x[0] is harmless only for inf
+    x = np.vstack([np.repeat(x[:1], 20, axis=0), x])
     with pytest.raises(NumericDomainError) as exc:
         model.curves(x, times[0], build_rule(4))
-    assert str(exc.value) == (f"non-finite log-hazard (subject index {subject}, "
+    assert str(exc.value) == (f"non-finite log-hazard (subject index {pad + subject}, "
                               f"time {float(times[0, 0])!r})")
 
 
