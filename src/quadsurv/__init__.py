@@ -14,8 +14,7 @@ from .metrics import (c_index_td, censoring_survival, d_calibration,
                       evaluation_report, integrated_brier_score,
                       integrated_binomial_ll, kaplan_meier, select_horizons)
 from .model import FittedModel, HazardModel, ModelConfig
-from .quadrature import (QuadratureRule, build_rule, cumulative_hazard,
-                         error_bound, legendre_eval)
+from .quadrature import QuadratureRule, build_rule, error_bound
 from .simulation import (GeneratorSpec, GroundTruth, calibrate_censoring,
                          generate, l1_error, make_truth, marginalized_curves)
 from .training import (SearchSpace, TrainingConfig, TrainResult, adamw_step,
@@ -29,8 +28,7 @@ __all__ = [
     "integrated_brier_score", "integrated_binomial_ll", "kaplan_meier",
     "select_horizons",
     "FittedModel", "HazardModel", "ModelConfig",
-    "QuadratureRule", "build_rule", "cumulative_hazard", "error_bound",
-    "legendre_eval",
+    "QuadratureRule", "build_rule", "error_bound",
     "GeneratorSpec", "GroundTruth", "calibrate_censoring", "generate",
     "l1_error", "make_truth", "marginalized_curves",
     "SearchSpace", "TrainingConfig", "TrainResult", "adamw_step", "nll_loss",

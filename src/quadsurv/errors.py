@@ -55,7 +55,3 @@ class NumericDomainError(QuadSurvError):
     """Non-finite value produced where a finite one is required."""
 
     exit_code = 4
-
-    def __init__(self, message, *, node_time=None):
-        super().__init__(message)
-        self.node_time = node_time

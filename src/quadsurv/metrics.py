@@ -237,6 +237,15 @@ def integrated_brier_score(curves, times, events, ghat, horizon,
 
 def integrated_binomial_ll(curves, times, events, ghat, horizon,
                            n_points: int = INTEGRATION_POINTS):
+    """Trapezoid integral of the IPCW binomial log-likelihood over the
+    evaluation window, normalized by its width.
+
+    At each time t the score averages log(1 - S_i(t)) over subjects with an
+    event before t and log S_i(t) over those still at risk after t, each
+    weighted by the inverse censoring survival.  S is clamped to
+    [``SURVIVAL_CLAMP``, 1 - ``SURVIVAL_CLAMP``] so the logs stay finite.
+    The value is at most 0; higher is better.
+    """
     return _integrated(curves, times, events, ghat, horizon, n_points, 1)
 
 

@@ -394,7 +394,7 @@ class HazardModel:
             raise ContractError("grid must be ascending and nonnegative")
         x = self._inputs(x, grid)[0]
         n, g = x.shape[0], len(grid)
-        node_times, weights, edges = rule.composite(grid)
+        quad_times, weights, edges = rule.composite(grid)
         cells = 1 + np.diff(edges)  # forward rows per (subject, point) pair
         # tiles keep each hidden layer within ``most`` rows, but blocks and
         # subject tiles are not cut below ``least``: with fewer rows, a product
@@ -415,7 +415,7 @@ class HazardModel:
             # the block's points, then its nodes; the forward's output is a
             # fresh array, used in place
             first, last = edges[cols.start], edges[cols.stop]
-            times = np.concatenate([grid[cols], node_times[first:last]])
+            times = np.concatenate([grid[cols], quad_times[first:last]])
             f = _finite_output(self._log_hazard(p, x[rows], times), times,
                                rows.start).values
             with np.errstate(over="ignore"):

@@ -6,22 +6,21 @@ the training loss.  Dense curves over a shared ascending grid use the
 cumulative composite rule of ``QuadratureRule.composite`` instead: one rule
 per grid interval, summed along the grid (Davis & Rabinowitz, *Methods of
 Numerical Integration*, 2nd ed., 1984, ch. 2).  Rule construction
-uses Newton iteration on the Legendre recurrence; the reference evaluator
-accumulates in 80-bit extended precision so that the polynomial-exactness
-guarantee survives at large integral magnitudes, where plain float64
-round-off exceeds the certified truncation error.
+uses Newton iteration on the Legendre recurrence in extended precision
+(numpy longdouble), which nothing else here uses: nodes and weights leave
+``build_rule`` as float64, and ``cumhaz`` and ``composite`` evaluate in
+float64.  The tests hold both to the truncation bound ``error_bound``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, InvalidOrderError, NumericDomainError
+from .errors import ContractError, InvalidOrderError
 
 MAX_ORDER = 64
 # nodes on a narrow interval of ``QuadratureRule.composite``: order 3 was
@@ -37,20 +36,16 @@ class QuadratureRule:
 
     ``canonical_nodes`` are the roots of the K-th Legendre polynomial in
     ascending order, ``unit_nodes`` their images under x -> (x + 1) / 2,
-    and ``weights`` the standard weights summing to 2.  The ``*_hp``
-    fields hold extended-precision copies used by the reference evaluator.
+    and ``weights`` the standard weights summing to 2, all float64.
     """
 
     order: int
     canonical_nodes: np.ndarray
     unit_nodes: np.ndarray
     weights: np.ndarray
-    unit_nodes_hp: np.ndarray = field(repr=False)
-    weights_hp: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for arr in (self.canonical_nodes, self.unit_nodes, self.weights,
-                    self.unit_nodes_hp, self.weights_hp):
+        for arr in (self.canonical_nodes, self.unit_nodes, self.weights):
             arr.setflags(write=False)
 
     def as_dict(self) -> dict:
@@ -118,21 +113,17 @@ class QuadratureRule:
         return times, width[interval] / 2.0 * w, edges
 
 
-def legendre_eval(k: int, x: float) -> tuple[float, float]:
-    """Value and derivative of the k-th Legendre polynomial at x.
+def _legendre_eval(k: int, x: float) -> tuple[float, float]:
+    """Value and derivative of the k-th Legendre polynomial at x, k >= 0.
 
     Uses the three-term recurrence together with the derivative
-    recurrence P'_n = P'_{n-2} + (2n - 1) P_{n-1}, which stays finite at
-    the interval endpoints.  Computes in the precision of ``x``, so a
-    longdouble ``x`` gives longdouble results.
+    recurrence P'_n = P'_{n-2} + (2n - 1) P_{n-1}, from P_{-1} = 0, which
+    stays finite at the interval endpoints.  Computes in the precision of
+    ``x``, so a longdouble ``x`` gives longdouble results.
     """
-    if k < 0:
-        raise ContractError("Legendre degree must be nonnegative")
-    if k == 0:
-        return 1.0, 0.0
-    p_prev, p = 1.0, x
-    dp_prev, dp = 0.0, 1.0
-    for n in range(2, k + 1):
+    p_prev, p = 0.0, 1.0
+    dp_prev, dp = 0.0, 0.0
+    for n in range(1, k + 1):
         p_next = ((2 * n - 1) * x * p - (n - 1) * p_prev) / n
         dp_next = dp_prev + (2 * n - 1) * p
         p_prev, p = p, p_next
@@ -159,12 +150,12 @@ def build_rule(k: int) -> QuadratureRule:
         # seed for the (j+1)-th largest root
         x = _LD(math.cos(math.pi * (j + 0.75) / (k + 0.5)))
         for _ in range(100):
-            p, dp = legendre_eval(k, x)
+            p, dp = _legendre_eval(k, x)
             delta = -p / dp
             x = x + delta
             if abs(float(delta)) < 1e-18:
                 break
-        _, dp = legendre_eval(k, x)
+        _, dp = _legendre_eval(k, x)
         w = 2 / ((1 - x * x) * dp * dp)
         nodes[k - 1 - j] = x
         nodes[j] = -x
@@ -173,50 +164,15 @@ def build_rule(k: int) -> QuadratureRule:
     if k % 2 == 1:
         mid = k // 2
         nodes[mid] = _LD(0.0)
-        _, dp = legendre_eval(k, _LD(0.0))
+        _, dp = _legendre_eval(k, _LD(0.0))
         weights[mid] = 2 / (dp * dp)
 
-    unit_hp = (nodes + 1) / 2
     return QuadratureRule(
         order=int(k),
         canonical_nodes=nodes.astype(np.float64),
-        unit_nodes=unit_hp.astype(np.float64),
+        unit_nodes=((nodes + 1) / 2).astype(np.float64),
         weights=weights.astype(np.float64),
-        unit_nodes_hp=unit_hp,
-        weights_hp=weights.copy(),
     )
-
-
-def cumulative_hazard_hp(rule: QuadratureRule,
-                         hazard_at: Callable[[float], float],
-                         t: float):
-    """Extended-precision quadrature sum (t/2) sum_k w_k hazard(t tau_k).
-
-    Node times are passed to ``hazard_at`` as longdouble scalars, so
-    callables built from numpy ufuncs keep the extra precision.
-    """
-    if not math.isfinite(t) or t < 0:
-        raise ContractError(f"time must be finite and nonnegative, got {t}")
-    if t == 0:
-        return _LD(0.0)
-    t_hp = _LD(t)
-    total = _LD(0.0)
-    for tau, w in zip(rule.unit_nodes_hp, rule.weights_hp):
-        s = t_hp * tau
-        lam = hazard_at(s)
-        if not math.isfinite(float(lam)) or float(lam) < 0:
-            raise NumericDomainError(
-                f"hazard value {float(lam)!r} at node time {float(s)}",
-                node_time=float(s))
-        total = total + w * _LD(lam)
-    return (t_hp / 2) * total
-
-
-def cumulative_hazard(rule: QuadratureRule,
-                      hazard_at: Callable[[float], float],
-                      t: float) -> float:
-    """Approximate integral of the hazard over [0, t]; 0 exactly at t = 0."""
-    return float(cumulative_hazard_hp(rule, hazard_at, t))
 
 
 def error_bound(rule: QuadratureRule, t: float, deriv_max: float) -> float:

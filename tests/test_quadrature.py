@@ -6,10 +6,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from quadsurv.errors import ContractError, InvalidOrderError, NumericDomainError
-from quadsurv.quadrature import (build_rule, cumulative_hazard,
-                                 cumulative_hazard_hp, error_bound,
-                                 legendre_eval)
+from quadsurv.errors import InvalidOrderError
+from quadsurv.quadrature import _legendre_eval, build_rule, error_bound
+
+EPS = np.finfo(np.float64).eps
+
+
+def cumhaz(rule, hazard_at, t):
+    """float64 ``rule.cumhaz`` at the times ``t``, from the hazard at their
+    ``points`` laid out node-first, as the loss does."""
+    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    nodes = rule.points(t)[..., 1:]
+    hazards = np.broadcast_to(hazard_at(nodes), nodes.shape)
+    return rule.cumhaz(np.moveaxis(hazards, -1, 0).copy(), t)
 
 
 # --- independent oracles -------------------------------------------------------
@@ -84,13 +93,13 @@ def test_rule_invariants(k):
     assert np.all(w > 0)
     # roots of P_K
     for x in xi:
-        p, _ = legendre_eval(k, x)
+        p, _ = _legendre_eval(k, x)
         assert abs(p) < 1e-12
     # symmetry about zero
     np.testing.assert_allclose(xi, -xi[::-1], atol=1e-12)
     # weight formula
     for x, weight in zip(xi, w):
-        _, dp = legendre_eval(k, x)
+        _, dp = _legendre_eval(k, x)
         assert abs(weight - 2.0 / ((1 - x * x) * dp * dp)) < 1e-12
     # unit nodes are the affine image
     np.testing.assert_allclose(rule.unit_nodes, (xi + 1) / 2, atol=1e-15)
@@ -117,20 +126,20 @@ def test_invalid_order_rejected(bad):
         build_rule(bad)
 
 
-# --- legendre_eval ----------------------------------------------------------------
+# --- _legendre_eval ---------------------------------------------------------------
 
 def test_legendre_trivial_cases():
-    assert legendre_eval(0, 0.7) == (1.0, 0.0)
-    p, dp = legendre_eval(2, 0.5)
+    assert _legendre_eval(0, 0.7) == (1.0, 0.0)
+    p, dp = _legendre_eval(2, 0.5)
     assert abs(p - (-0.125)) < 1e-15
     assert abs(dp - 1.5) < 1e-15
 
 
 def test_legendre_endpoints_exact():
     for k in range(1, 20):
-        p, _ = legendre_eval(k, 1.0)
+        p, _ = _legendre_eval(k, 1.0)
         assert p == 1.0
-        p, _ = legendre_eval(k, -1.0)
+        p, _ = _legendre_eval(k, -1.0)
         assert p == (-1.0) ** k
 
 
@@ -139,58 +148,94 @@ def test_legendre_degree6_vs_monomial_expansion():
     x = Fraction(3, 10)
     exact = (231 * x**6 - 315 * x**4 + 105 * x**2 - 5) / 16
     exact_dp = (6 * 231 * x**5 - 4 * 315 * x**3 + 2 * 105 * x) / 16
-    p, dp = legendre_eval(6, 0.3)
+    p, dp = _legendre_eval(6, 0.3)
     assert abs(p - float(exact)) < 1e-14
     assert abs(dp - float(exact_dp)) < 1e-13
 
 
-# --- cumulative_hazard ---------------------------------------------------------------
+# --- cumhaz --------------------------------------------------------------------
 
 def test_constant_hazard():
     for k in (1, 2, 5, 10):
         rule = build_rule(k)
-        assert abs(cumulative_hazard(rule, lambda s: 3.0, 2.0) - 6.0) < 1e-12
+        assert abs(cumhaz(rule, lambda s: 3.0, 2.0)[0] - 6.0) < 1e-12
 
 
 def test_zero_time_is_exact_zero():
     rule = build_rule(4)
-    assert cumulative_hazard(rule, lambda s: 1e300, 0.0) == 0.0
+    assert cumhaz(rule, lambda s: 1e300, 0.0)[0] == 0.0
 
 
 def test_cubic_exact_at_k2():
     rule = build_rule(2)
     # degree 3 = 2K - 1, so the rule integrates s^3 exactly: t^4 / 4
-    assert abs(cumulative_hazard(rule, lambda s: s**3, 1.0) - 0.25) < 1e-15
+    assert abs(cumhaz(rule, lambda s: s**3, 1.0)[0] - 0.25) < 1e-15
 
 
 def test_exponential_hazard_within_bound():
     rule = build_rule(3)
-    val = cumulative_hazard(rule, np.exp, 1.0)
+    val = cumhaz(rule, np.exp, 1.0)[0]
     err = abs(val - (math.e - 1.0))
     assert err <= error_bound(rule, 1.0, math.e)
     assert err < 2e-6
 
 
-def test_polynomial_exactness_property():
+def test_polynomial_exactness_property(longdouble_cumhaz):
+    # the longdouble oracle is exact to 1e-10 up to t^16 / 16 at t = 3, about
+    # 2.7e6; float64 cumhaz is within round-off of a sum of K terms there
+    t = np.array([0.5, 1.0, 3.0])
     for k in range(1, 9):
         rule = build_rule(k)
         for d in range(0, 2 * k):
-            for t in (0.5, 1.0, 3.0):
-                approx = cumulative_hazard(rule, lambda s, d=d: s**d, t)
-                exact = t ** (d + 1) / (d + 1)
-                assert abs(approx - exact) < 1e-10, (k, d, t)
+            exact = t ** (d + 1) / (d + 1)
+            approx = cumhaz(rule, lambda s, d=d: s**d, t)
+            assert np.all(np.abs(approx - exact) < 1e-10 + 8 * EPS * exact), (k, d)
+            for ti, ex in zip(t, exact):
+                oracle = float(longdouble_cumhaz(k, lambda s, d=d: s**d, ti))
+                assert abs(oracle - ex) < 1e-10, (k, d, ti)
 
 
-def test_bound_validity_for_exponential():
+def test_bound_validity_for_exponential(longdouble_cumhaz):
     # the bound certifies truncation error, so measure it above float64
-    # round-off: the extended-precision evaluator keeps the comparison clean
-    # even where the bound is below one ulp of the result
+    # round-off: the longdouble oracle keeps the comparison clean even where
+    # the bound is below one ulp of the result
+    for k in (2, 3, 4, 5):
+        for t in (0.5, 1.0, 2.0):
+            approx = longdouble_cumhaz(k, np.exp, t)
+            exact = np.expm1(np.longdouble(t))
+            assert abs(float(approx - exact)) <= error_bound(build_rule(k), t, math.exp(t)), (k, t)
+
+
+def test_cumhaz_within_bound_for_exponential(longdouble_cumhaz):
+    """The loss's float64 ``cumhaz`` is within a few ulp of the longdouble
+    oracle, and within the truncation bound plus a few eps Lambda of round-off:
+    at K = 5, t = 0.5 the bound (3.2e-16) is below one ulp of Lambda."""
+    t = np.array([0.5, 1.0, 2.0])
+    exact = np.expm1(t)
     for k in (2, 3, 4, 5):
         rule = build_rule(k)
-        for t in (0.5, 1.0, 2.0):
-            approx = cumulative_hazard_hp(rule, np.exp, t)
-            exact = np.expm1(np.longdouble(t))
-            assert abs(float(approx - exact)) <= error_bound(rule, t, math.exp(t)), (k, t)
+        approx = cumhaz(rule, np.exp, t)
+        oracle = np.array([float(longdouble_cumhaz(k, np.exp, ti)) for ti in t])
+        assert np.all(np.abs(approx - oracle) <= 4 * np.spacing(oracle)), k
+        bound = [error_bound(rule, ti, math.exp(ti)) for ti in t]
+        assert np.all(np.abs(approx - exact) <= bound + 4 * EPS * exact), k
+
+
+@pytest.mark.parametrize("k, grid", [(2, np.linspace(0.5, 4.0, 8)),
+                                     (3, np.linspace(0.25, 3.0, 12)),
+                                     (5, np.linspace(0.5, 4.0, 8))])
+def test_composite_within_bound_for_exponential(k, grid):
+    """The curves' float64 Lambda from ``composite``, summed per interval and
+    then along the grid as ``HazardModel.curves`` sums it, is within the sum of
+    the intervals' truncation bounds (m nodes on width h_j, the 2m-th
+    derivative of exp at most e^{g_j}) plus 8 eps Lambda of round-off.  At
+    larger K the bound falls below round-off and tests nothing."""
+    times, weights, edges = build_rule(k).composite(grid)
+    cum = np.cumsum(np.add.reduceat(weights * np.exp(times), edges[:-1]))
+    width = np.diff(grid, prepend=0.0)
+    bound = np.cumsum([error_bound(build_rule(int(m)), h, math.exp(g))
+                       for m, h, g in zip(np.diff(edges), width, grid)])
+    assert np.all(np.abs(cum - np.expm1(grid)) <= bound + 8 * EPS * cum)
 
 
 def test_monotone_convergence_on_sinusoid():
@@ -200,34 +245,16 @@ def test_monotone_convergence_on_sinusoid():
 
     t = 2.0
     exact = t + 0.2 * (1.0 - np.cos(4.0 * t))
-    errors = [abs(cumulative_hazard(build_rule(k), lam, t) - exact)
+    errors = [abs(cumhaz(build_rule(k), lam, t)[0] - exact)
               for k in (3, 5, 7, 10)]
     assert all(e1 >= e2 for e1, e2 in zip(errors, errors[1:]))
 
 
 def test_scale_covariance():
     rule = build_rule(6)
-    base = cumulative_hazard(rule, lambda s: math.sin(s) + 1.5, 2.5)
-    scaled = cumulative_hazard(rule, lambda s: 7.25 * (math.sin(s) + 1.5), 2.5)
+    base = cumhaz(rule, lambda s: np.sin(s) + 1.5, 2.5)[0]
+    scaled = cumhaz(rule, lambda s: 7.25 * (np.sin(s) + 1.5), 2.5)[0]
     assert abs(scaled - 7.25 * base) < 1e-12 * abs(scaled)
-
-
-def test_nonfinite_hazard_raises_with_node_time():
-    rule = build_rule(3)
-
-    def bad(s):
-        return math.inf if s > 0.5 else 1.0
-
-    with pytest.raises(NumericDomainError) as exc:
-        cumulative_hazard(rule, bad, 1.0)
-    assert exc.value.node_time is not None
-    assert exc.value.node_time > 0.5
-
-
-def test_negative_time_rejected():
-    rule = build_rule(2)
-    with pytest.raises(ContractError):
-        cumulative_hazard(rule, lambda s: 1.0, -1.0)
 
 
 # --- error_bound -------------------------------------------------------------------

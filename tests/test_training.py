@@ -378,14 +378,13 @@ def test_log_ndjson_is_strict_json(tmp_path):
 
 @pytest.mark.slow
 def test_scenario1_hazard_recovery():
-    """Known red: the 0.10 bound is unattainable on this generator.
+    """Known red: ``err_lam`` is 0.4762 against the 0.10 bound.
 
-    The crossing-hazards mechanism censors ~42%, so under 1% of the steep
-    group remains at risk over the last quarter of the evaluation range;
-    that region alone contributes ~0.10 of conditional hazard L1 from a
-    handful of events.  Measured values across 14 protocol variants sit at
-    0.15-0.5.  Kept at the stated bound deliberately; see the decisions
-    ledger for the full analysis.
+    At this seed and configuration the selection rule (greatest validation
+    C_td) picks epoch 0 of 200; the epoch of least validation loss gives
+    0.1107.  A correctly specified Weibull MLE, fitted per covariate group
+    on the same training data, gives 0.045-0.085 on seeds 0-4, so the data
+    do not rule the bound out.  Kept at the stated bound, seed and protocol.
     """
     sim = generate(GeneratorSpec(family="scenario1"), 0)
     cfg = TrainingConfig(seed=0, k_nodes=10)
