@@ -60,7 +60,7 @@ def _write_json(path: Path, payload) -> None:
 
 
 def _write_manifest(out_dir: Path, args, seed, config_payload,
-                    inputs, outputs, t_start) -> None:
+                    inputs, outputs, t_start, **extra) -> None:
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "command": args.command,
@@ -71,6 +71,7 @@ def _write_manifest(out_dir: Path, args, seed, config_payload,
         "outputs": {str(p): _sha256(Path(p)) for p in outputs},
         "wall_clock_s": _time.perf_counter() - t_start,
         "library_version": __version__,
+        **extra,
     }
     _write_json(out_dir / "manifest.json", manifest)
 
@@ -192,6 +193,7 @@ def cmd_train(args) -> int:
     cfg = _load_training_config(args)
     data = load_csv(args.train_csv)
     result = train(cfg, data)
+    selection = result.selection()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_checkpoint(out / "checkpoint.json", result, data.columns)
@@ -199,11 +201,12 @@ def cmd_train(args) -> int:
     _write_manifest(out, args, cfg.seed,
                     {**asdict(cfg), "schema_version": SCHEMA_VERSION},
                     [args.config, args.train_csv],
-                    [out / "checkpoint.json", out / "log.ndjson"], t0)
+                    [out / "checkpoint.json", out / "log.ndjson"], t0,
+                    selection=selection)
     status = ("completed" if result.abort_reason is None
               else f"aborted ({result.abort_reason})")
     print(f"training {status}; best epoch {result.best_epoch} "
-          f"(val C_td {result.best_val_ctd}); wall clock {result.wall_clock:.1f}s")
+          f"(val C_td {selection['val_ctd']}); wall clock {result.wall_clock:.1f}s")
     return 0
 
 
@@ -344,7 +347,8 @@ def cmd_hpo(args) -> int:
     _write_manifest(out, args, args.seed,
                     {"space": space_payload, "trials": args.trials},
                     [args.space, args.train_csv],
-                    [out / "checkpoint.json", out / "trials.csv"], t0)
+                    [out / "checkpoint.json", out / "trials.csv"], t0,
+                    selection={"trial": best_rec.index})
     print(f"best trial {best_rec.index}: val C_td {best_rec.val_ctd:.4f}")
     return 0
 

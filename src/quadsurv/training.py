@@ -7,9 +7,9 @@ The per-batch loss is the mean over subjects of
 with the cumulative hazard approximated as (o_i / 2) sum_k w_k
 exp f(x_i, o_i tau_k) by ``QuadratureRule.cumhaz``.  Optimization is AdamW
 with a cosine learning-rate schedule decaying to zero over the epoch
-budget; the returned parameters are the snapshot with the best validation
-concordance (lower validation integrated Brier score breaks ties).  A step
-whose log-hazards, cumulative hazards or gradient norm are not finite raises
+budget.  One rule, ``displaces``, selects the epoch whose parameters
+``train`` returns and the trial ``random_search`` returns.  A step whose
+log-hazards, cumulative hazards or gradient norm are not finite raises
 ``NumericDomainError`` before its update, and training stops there.
 """
 
@@ -32,7 +32,7 @@ from .model import (Architecture, FittedModel, HazardModel, ModelConfig,
 from .quadrature import MAX_ORDER, QuadratureRule, build_rule
 
 # C_td differences below this are sampling noise at typical validation
-# sizes; the epoch selection treats them as ties and lets IBS decide
+# sizes; ``displaces`` treats them as ties and lets IBS decide
 CTD_TIE_TOLERANCE = 2e-3
 ADAM_BETAS = (0.9, 0.999)  # decay rates of the first and second moments
 ADAM_EPS = 1e-8
@@ -83,16 +83,17 @@ def cosine_lr(base_lr: float, epoch: int, t_max: int) -> float:
 
 
 def _terms(f, rule: QuadratureRule, times, events):
-    """Per-subject delta f(x, t) and Lambda from the (b, K+1) log-hazards at
-    ``rule.points(times)``; NumericDomainError naming the first subject whose
-    Lambda is not finite (its hazard overflows at a node)."""
+    """Per-subject delta f(x, t), Lambda and (b, K) node hazards from the
+    (b, K+1) log-hazards at ``rule.points(times)``; NumericDomainError naming
+    the first subject whose Lambda is not finite (a hazard overflows)."""
     with np.errstate(over="ignore"):
-        cumhaz = rule.cumhaz(np.exp(f[:, 1:]).T, times)
+        hazards = np.exp(f[:, 1:])
+        cumhaz = rule.cumhaz(hazards, times)
     bad = np.flatnonzero(~np.isfinite(cumhaz))
     if len(bad):
         raise NumericDomainError(f"non-finite loss (subject index {bad[0]}): "
                                  f"non-finite values produced by the cumulative hazard")
-    return events * f[:, 0], cumhaz
+    return events * f[:, 0], cumhaz, hazards
 
 
 def nll_loss(model: HazardModel, rule: QuadratureRule, x, times, events,
@@ -112,15 +113,14 @@ def nll_loss(model: HazardModel, rule: QuadratureRule, x, times, events,
         raise ContractError("nll_loss requires a nonempty batch")
     f = model.forward(model.params, x, rule.points(times),
                       training=training, rng=rng)
-    event_term, cumhaz = _terms(f.values, rule, times, events)
+    event_term, cumhaz, hazards = _terms(f.values, rule, times, events)
 
     def grad_f(g):
         # d/df_obs = -delta / b; d/df_k = (t/2) w_k exp f_k / b
         scale = g / b
         grad = np.empty_like(f.values)
         grad[:, 0] = -scale * events
-        grad[:, 1:] = ((scale * (times / 2.0))[:, None] * rule.weights
-                       * np.exp(f.values[:, 1:]))
+        grad[:, 1:] = (scale * (times / 2.0))[:, None] * rule.weights * hazards
         return grad
 
     return ad.record(np.mean(cumhaz - event_term), (f, grad_f))
@@ -133,7 +133,7 @@ def nll_terms(model: HazardModel, rule: QuadratureRule, x, times, events):
     ``nll_loss`` evaluated out of training mode.  A hazard that overflows at
     a node raises ``NumericDomainError``, as in ``nll_loss``.
     """
-    return _terms(model.log_hazard_matrix(x, rule.points(times)), rule, times, events)
+    return _terms(model.log_hazard_matrix(x, rule.points(times)), rule, times, events)[:2]
 
 
 # --- optimizer ----------------------------------------------------------------
@@ -188,6 +188,21 @@ def clip_gradients(grads: dict, max_norm: float) -> bool:
 
 # --- training loop -------------------------------------------------------------
 
+def displaces(bar, ctd, ibs):
+    """The selection rule of ``train``'s epochs and ``random_search``'s trials,
+    taken in order: the new bar if the candidate, validation C_td ``ctd`` (-1
+    if None) and IBS ``ibs``, displaces the incumbent, else None.  ``bar`` is
+    None at first, then the last bar returned.  A C_td above the bar by more
+    than ``CTD_TIE_TOLERANCE`` wins; within it a lower IBS wins, and the bar
+    (a C_td, the incumbent's IBS) never falls."""
+    ctd = -1.0 if ctd is None else ctd
+    if bar is None or ctd > bar[0] + CTD_TIE_TOLERANCE:
+        return ctd, ibs
+    if ctd >= bar[0] - CTD_TIE_TOLERANCE and ibs < bar[1]:
+        return max(ctd, bar[0]), ibs
+    return None
+
+
 @dataclass
 class TrainResult(FittedModel):
     """The fitted model of a run, with its config, per-epoch log and outcome."""
@@ -195,13 +210,23 @@ class TrainResult(FittedModel):
     config: TrainingConfig
     log: list = field(default_factory=list)
     best_epoch: int = -1
-    best_val_ctd: float | None = None
     abort_reason: str | None = None
     wall_clock: float = 0.0
 
+    def selection(self) -> dict:
+        """The selected epoch, its validation C_td, IBS and tied share of the
+        C_td's comparable pairs, and the first epoch of least validation loss;
+        all None when no epoch completed."""
+        rec = self.log[self.best_epoch] if self.log else {}
+        least = min(self.log, key=lambda r: r["val_loss"], default={})
+        return {**{k: rec.get(k) for k in ("epoch", "val_ctd", "val_ibs", "val_tied_share")},
+                "least_val_loss_epoch": least.get("epoch")}
+
 
 def _validation_metrics(model, rule, scaler_x_val, val_times, val_events,
-                        ghat, grid):
+                        ghat, grid) -> dict:
+    """Validation loss, C_td, IBS and the tied share of the C_td's comparable
+    pairs, keyed as in the log; the last two are None where C_td is undefined."""
     try:
         event_term, cumhaz = nll_terms(model, rule, scaler_x_val, val_times, val_events)
         val_loss = float(np.mean(cumhaz - event_term))
@@ -213,16 +238,18 @@ def _validation_metrics(model, rule, scaler_x_val, val_times, val_events,
     curves = mx.SurvivalCurves(grid, surv)
     horizon = grid[-1] * (1.0 + 1e-12)
     try:
-        ctd = mx.c_index_td(curves, val_times, val_events, ghat, horizon).value
+        res = mx.c_index_td(curves, val_times, val_events, ghat, horizon)
+        ctd, tied = res.value, res.n_tied_predictions / res.n_comparable_pairs
     except mx.UndefinedMetricError:
-        ctd = None
+        ctd = tied = None
     ibs = mx.integrated_brier_score(curves, val_times, val_events, ghat, grid[-1],
                                     n_points=min(len(grid), 50))
-    return val_loss, ctd, ibs
+    return {"val_loss": val_loss, "val_ctd": ctd, "val_ibs": ibs, "val_tied_share": tied}
 
 
 def train(config: TrainingConfig, dataset: SurvivalData) -> TrainResult:
-    """Fit a hazard model, returning the best-validation snapshot and log."""
+    """Fit a hazard model, returning the snapshot of the epoch ``displaces``
+    selects, and the log."""
     t_start = _time.perf_counter()
     if len(dataset) < 2:
         raise DegenerateDataError("need at least 2 subjects to train")
@@ -255,7 +282,7 @@ def train(config: TrainingConfig, dataset: SurvivalData) -> TrainResult:
 
     n = len(dtrain)
     log = []
-    best = {"key": None, "state": None, "epoch": -1, "ctd": None, "ibs": None}
+    bar, best_epoch, best_state = None, -1, None
     abort_reason = None
 
     for epoch in range(config.max_epochs):
@@ -278,42 +305,27 @@ def train(config: TrainingConfig, dataset: SurvivalData) -> TrainResult:
                 epoch_loss += float(loss.values) * len(batch)
             # validation curves that are not finite end training as a failing
             # step does: this epoch is not logged
-            val_loss, val_ctd, val_ibs = _validation_metrics(
-                model, rule, x_val, dval.time, dval.event, ghat, val_grid)
+            val = _validation_metrics(model, rule, x_val, dval.time, dval.event,
+                                      ghat, val_grid)
         except NumericDomainError as err:
             abort_reason = str(err)
 
         if abort_reason is not None:
             break
-        train_loss = epoch_loss / n
-        log.append({"epoch": epoch, "train_loss": train_loss,
-                    "val_loss": val_loss, "val_ctd": val_ctd, "lr": lr,
-                    "val_ibs": val_ibs, "clipped_steps": epoch_clips})
-        ctd_key = -1.0 if val_ctd is None else val_ctd
-        if best["key"] is None:
-            better, new_key = True, ctd_key
-        elif ctd_key > best["key"] + CTD_TIE_TOLERANCE:
-            better, new_key = True, ctd_key
-        elif ctd_key >= best["key"] - CTD_TIE_TOLERANCE \
-                and val_ibs < best["ibs"]:
-            # ratchet: a tie never lowers the incumbent bar
-            better, new_key = True, max(ctd_key, best["key"])
-        else:
-            better, new_key = False, best["key"]
-        if better:
-            best.update(key=new_key, epoch=epoch,
-                        state={k: v.copy() for k, v in model.state_arrays().items()},
-                        ctd=val_ctd, ibs=val_ibs)
+        log.append({"epoch": epoch, "train_loss": epoch_loss / n, "lr": lr,
+                    "clipped_steps": epoch_clips, **val})
+        if new_bar := displaces(bar, val["val_ctd"], val["val_ibs"]):
+            bar, best_epoch = new_bar, epoch
+            best_state = {k: v.copy() for k, v in model.state_arrays().items()}
 
-    if best["state"] is not None:
-        model.load_state_arrays(best["state"])
+    if best_state is not None:
+        model.load_state_arrays(best_state)
     # on divergence with no completed epoch, the current parameters are the
     # last finite snapshot: the failing step raised before its update (a
     # failing first validation keeps the finite parameters it scored)
 
     return TrainResult(model=model, rule=rule, scaler=scaler, config=config,
-                       log=log, best_epoch=best["epoch"], best_val_ctd=best["ctd"],
-                       abort_reason=abort_reason,
+                       log=log, best_epoch=best_epoch, abort_reason=abort_reason,
                        wall_clock=_time.perf_counter() - t_start)
 
 
@@ -399,13 +411,15 @@ class TrialRecord:
 
 def random_search(space: SearchSpace, trials: int, dataset: SurvivalData,
                   base_config: TrainingConfig | None = None):
-    """Random search over the tabular space, selected on validation C_td.
+    """Random search over the tabular space.
 
-    Ties on C_td break toward the lower validation integrated Brier score.
-    A failing trial, including one whose sampled architecture the model
-    rejects, is recorded with its error and skipped.  Returns the best
-    record, its result and every record; the first two are None when no
-    trial has a validation C_td.
+    The trials are candidates of ``displaces``, the rule that selects each
+    trial's epoch, in index order, with that epoch's validation C_td and IBS;
+    a trial without a validation C_td is never selected.  A failing trial,
+    including one whose sampled architecture the model rejects, is recorded
+    with its error and skipped.  Returns the selected record, its
+    result and every record; the first two are None when no trial has a
+    validation C_td.
     """
     if trials < 1:
         raise UsageError(f"trials must be >= 1, got {trials}")
@@ -414,24 +428,17 @@ def random_search(space: SearchSpace, trials: int, dataset: SurvivalData,
     sampled = [space.sample(rng) for _ in range(trials)]
     trial_seeds = rng.integers(0, 2 ** 31 - 1, size=trials)
 
-    records, best_rec, best_res = [], None, None
+    records, bar, best = [], None, (None, None)
     for i, sample in enumerate(sampled):
         try:
             res = train(replace(base, seed=int(trial_seeds[i]), **sample), dataset)
-            ibs = res.log[res.best_epoch]["val_ibs"] if res.log else None
-            rec = TrialRecord(i, sample, res.best_val_ctd, ibs)
+            sel = res.selection()
+            rec = TrialRecord(i, sample, sel["val_ctd"], sel["val_ibs"])
         except Exception as err:  # noqa: BLE001 - trial isolation is the contract
             records.append(TrialRecord(i, sample, None, None, error=str(err)))
             continue
         records.append(rec)
         if rec.val_ctd is not None and (
-                best_rec is None or trial_sort_key(rec) > trial_sort_key(best_rec)):
-            best_rec, best_res = rec, res
-    return best_rec, best_res, records
-
-
-def trial_sort_key(rec: TrialRecord):
-    """Selection order: maximize validation C_td, break ties on lower IBS."""
-    ctd = -math.inf if rec.val_ctd is None else rec.val_ctd
-    ibs = math.inf if rec.val_ibs is None else rec.val_ibs
-    return (ctd, -ibs)
+                new_bar := displaces(bar, rec.val_ctd, rec.val_ibs)):
+            bar, best = new_bar, (rec, res)
+    return (*best, records)

@@ -44,7 +44,7 @@ def test_criterion_01_quadrature_polynomial_exactness(longdouble_cumhaz):
         rule = build_rule(k)
         for d in range(0, 2 * k):
             exact = t ** (d + 1) / (d + 1)
-            err = np.abs(rule.cumhaz(rule.points(t)[:, 1:].T ** d, t) - exact)
+            err = np.abs(rule.cumhaz(rule.points(t)[:, 1:] ** d, t) - exact)
             worst_eps = max(worst_eps, float(np.max(err / exact)) / np.finfo(float).eps)
             assert np.all(err < 1e-10 + 8 * np.finfo(float).eps * exact), (k, d, err)
             for ti, ex in zip(t, exact):

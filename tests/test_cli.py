@@ -183,6 +183,16 @@ def test_train_writes_checkpoint_and_log(tmp_path, sim_dir):
     assert len(lines) == TINY_CONFIG["max_epochs"]
     assert set(json.loads(lines[0])) == {"epoch", "train_loss", "val_loss",
                                          "val_ctd", "lr"}
+    # the manifest names the selected epoch and the epoch of least validation loss
+    log = [json.loads(line) for line in lines]
+    selection = json.loads((out / "manifest.json").read_text())["selection"]
+    assert set(selection) == {"epoch", "val_ctd", "val_ibs", "val_tied_share",
+                              "least_val_loss_epoch"}
+    assert selection["val_ctd"] == log[selection["epoch"]]["val_ctd"]
+    assert 0.0 < selection["val_ibs"] < 1.0
+    assert 0.0 <= selection["val_tied_share"] <= 1.0
+    assert selection["least_val_loss_epoch"] == min(
+        range(len(log)), key=lambda e: log[e]["val_loss"])
 
 
 def test_train_seed_reproducible_checkpoint_bytes(tmp_path, sim_dir):
@@ -667,6 +677,7 @@ def test_hpo_single_trial(tmp_path, sim_dir):
     assert len(rows) == 1
     assert rows[0]["error"] == ""
     assert (out / "checkpoint.json").exists()
+    assert json.loads((out / "manifest.json").read_text())["selection"] == {"trial": 0}
 
 
 def test_hpo_without_a_selectable_trial_writes_trials_exit_3(tmp_path, sim_dir,

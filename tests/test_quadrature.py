@@ -14,11 +14,10 @@ EPS = np.finfo(np.float64).eps
 
 def cumhaz(rule, hazard_at, t):
     """float64 ``rule.cumhaz`` at the times ``t``, from the hazard at their
-    ``points`` laid out node-first, as the loss does."""
+    ``points``, one row of nodes per time, as the loss does."""
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
     nodes = rule.points(t)[..., 1:]
-    hazards = np.broadcast_to(hazard_at(nodes), nodes.shape)
-    return rule.cumhaz(np.moveaxis(hazards, -1, 0).copy(), t)
+    return rule.cumhaz(np.broadcast_to(hazard_at(nodes), nodes.shape), t)
 
 
 # --- independent oracles -------------------------------------------------------
@@ -303,10 +302,10 @@ def test_rule_json_dump_schema():
 
 @pytest.mark.parametrize("k", [1, 2, 7, 8, 9, 15, 16, 17, 64])
 def test_cumhaz_and_points_layout(k):
-    """``points`` lays out t, then t tau_k.  ``cumhaz`` of node-first hazards
-    is (t/2) times numpy's own row sum of w_k lambda_k, bit for bit, on a
-    node-first and a node-major buffer and for one time at a time; it is
-    infinite where a hazard is."""
+    """``points`` lays out t, then t tau_k.  ``cumhaz`` of (..., K) hazards is
+    (t/2) times numpy's own row sum of w_k lambda_k, bit for bit, for all
+    times at once and for one time at a time; it is infinite where a hazard
+    is."""
     rule = build_rule(k)
     rng = np.random.default_rng(k)
     t = rng.uniform(0.1, 5.0, size=6)
@@ -317,12 +316,9 @@ def test_cumhaz_and_points_layout(k):
     hazards = np.exp(rng.normal(0.0, 3.0, size=(40, 6, k)))
     hazards[0, 0, 0] = math.inf
     expected = (t / 2.0) * (hazards * rule.weights).sum(axis=-1)
-    node_first = np.moveaxis(hazards, -1, 0).copy()
-    node_major = hazards.transpose(0, 2, 1).copy().transpose(1, 0, 2)
-    assert np.array_equal(rule.cumhaz(node_first, t), expected)
-    assert np.array_equal(rule.cumhaz(node_major, t), expected)
+    assert np.array_equal(rule.cumhaz(hazards, t), expected)
     for i in (1, 39):
-        one = [rule.cumhaz(hazards[i, j][:, None].copy(), t[j:j + 1])[0] for j in range(6)]
+        one = [rule.cumhaz(hazards[i, j][None], t[j:j + 1])[0] for j in range(6)]
         assert np.array_equal(one, expected[i])
     assert math.isinf(expected[0, 0])
 

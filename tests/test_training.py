@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from quadsurv import autodiff as ad
 from quadsurv import metrics as mx
+from quadsurv import training
 from quadsurv.data import SurvivalData
 from quadsurv.errors import DegenerateDataError, NumericDomainError, UsageError
 from quadsurv.model import HazardModel, ModelConfig
@@ -19,9 +20,9 @@ from quadsurv.quadrature import build_rule
 from quadsurv.simulation import (GeneratorSpec, evaluation_grid, generate,
                                  l1_error)
 from quadsurv.training import (AdamWState, SearchSpace, TrainingConfig,
-                               TrialRecord, _validation_metrics, adamw_step,
-                               cosine_lr, nll_loss, nll_terms, random_search,
-                               train, trial_sort_key, write_log_ndjson)
+                               _validation_metrics, adamw_step, cosine_lr,
+                               displaces, nll_loss, nll_terms, random_search,
+                               train, write_log_ndjson)
 
 SIM_KW = dict(hidden=(32, 32), activation="tanh", conditioning="lora",
               learning_rate=1e-2, weight_decay=1e-6, batch_size=256,
@@ -146,9 +147,9 @@ def test_overflowing_validation_hazard_gives_infinite_val_loss():
         nll_terms(model, rule, x, times, events)
     ghat = mx.censoring_survival(times, events)
     with np.errstate(over="ignore"):
-        val_loss, _, _ = _validation_metrics(model, rule, x, times, events, ghat,
-                                             np.linspace(0.5, 2.5, 8))
-    assert val_loss == math.inf
+        val = _validation_metrics(model, rule, x, times, events, ghat,
+                                  np.linspace(0.5, 2.5, 8))
+    assert val["val_loss"] == math.inf
 
 
 # --- optimizer -----------------------------------------------------------------
@@ -286,6 +287,7 @@ def test_train_returns_log_and_best_epoch():
     for rec in res.log:
         assert set(rec) >= {"epoch", "train_loss", "val_loss", "val_ctd", "lr"}
         assert math.isfinite(rec["train_loss"])
+        assert 0.0 <= rec["val_tied_share"] <= 1.0
     assert 0 <= res.best_epoch < 4
     assert res.log[1]["lr"] < res.log[0]["lr"]
 
@@ -449,14 +451,91 @@ def test_search_reproducible():
         np.testing.assert_array_equal(s1[name], s2[name])
 
 
-def test_trial_selection_rule():
-    a = TrialRecord(0, {}, val_ctd=0.7, val_ibs=0.2)
-    b = TrialRecord(1, {}, val_ctd=0.6, val_ibs=0.1)
-    tie_lo = TrialRecord(2, {}, val_ctd=0.7, val_ibs=0.15)
-    failed = TrialRecord(3, {}, val_ctd=None, val_ibs=None)
-    assert trial_sort_key(a) > trial_sort_key(b)          # higher C_td wins
-    assert trial_sort_key(tie_lo) > trial_sort_key(a)     # tie: lower IBS wins
-    assert trial_sort_key(failed) < trial_sort_key(b)
+# --- the selection rule of epochs and trials ------------------------------------------
+
+# candidates in order as (validation C_td, IBS), then the epoch ``train`` selects,
+# the trial ``random_search`` selects and the final bar of ``displaces``; the
+# tolerance is 2e-3
+SELECTION_TABLE = {
+    "win-above-tolerance": ([(0.700, 0.20), (0.703, 0.30)], 1, 1, (0.703, 0.30)),
+    "tie-higher-ibs-loses": ([(0.700, 0.20), (0.701, 0.25)], 0, 0, (0.700, 0.20)),
+    "tie-equal-ibs-loses": ([(0.700, 0.20), (0.701, 0.20)], 0, 0, (0.700, 0.20)),
+    "tie-lower-ibs-wins": ([(0.700, 0.20), (0.6985, 0.15)], 1, 1, (0.700, 0.15)),
+    # without the ratchet the bar would be 0.6985, and 0.697 a tie that wins
+    "bar-does-not-fall": ([(0.700, 0.20), (0.6985, 0.15), (0.697, 0.10)], 1, 1,
+                          (0.700, 0.15)),
+    # a tie raises the bar to 0.7015, so 0.703 is no longer a win
+    "tie-raises-bar": ([(0.700, 0.20), (0.7015, 0.15), (0.703, 0.18)], 1, 1,
+                       (0.7015, 0.15)),
+    "undefined-ctd-counts-as-minus-one": ([(0.500, 0.20), (None, 0.01)], 0, 0,
+                                          (0.500, 0.20)),
+    "undefined-ctd-first": ([(None, 0.10), (0.500, 0.30)], 1, 1, (0.500, 0.30)),
+    "no-ctd-is-never-a-trial": ([(None, 0.10)], 0, None, (-1.0, 0.10)),
+}
+
+
+@pytest.mark.parametrize("candidates, epoch, trial, bar", SELECTION_TABLE.values(),
+                         ids=SELECTION_TABLE.keys())
+def test_displaces_table(candidates, epoch, trial, bar):
+    state, selected = None, None
+    for i, (ctd, ibs) in enumerate(candidates):
+        if new := displaces(state, ctd, ibs):
+            state, selected = new, i
+    assert selected == epoch
+    assert state == bar
+
+
+@pytest.mark.parametrize("candidates, epoch, trial, bar", SELECTION_TABLE.values(),
+                         ids=SELECTION_TABLE.keys())
+def test_train_selects_epoch_by_the_rule(monkeypatch, candidates, epoch, trial, bar):
+    """``train`` returns the parameters and the log entry of the epoch the rule
+    selects; the selection also names the first epoch of least validation loss."""
+    script, states = iter(candidates), []
+    losses = [2.0, 1.0, 1.5, 1.0]
+
+    def scripted(model, *args):
+        states.append({k: v.copy() for k, v in model.state_arrays().items()})
+        ctd, ibs = next(script)
+        return {"val_loss": losses[len(states) - 1], "val_ctd": ctd, "val_ibs": ibs,
+                "val_tied_share": None if ctd is None else 0.25}
+
+    monkeypatch.setattr(training, "_validation_metrics", scripted)
+    cfg = TrainingConfig(max_epochs=len(candidates), batch_size=32, hidden=(8,),
+                         rank=2, activation="tanh", k_nodes=5, val_grid_points=16)
+    res = train(cfg, small_dataset())
+    assert res.best_epoch == epoch
+    for name, arr in res.model.state_arrays().items():
+        np.testing.assert_array_equal(arr, states[epoch][name])
+    ctd, ibs = candidates[epoch]
+    assert res.selection() == {
+        "epoch": epoch, "val_ctd": ctd, "val_ibs": ibs,
+        "val_tied_share": None if ctd is None else 0.25,
+        "least_val_loss_epoch": 0 if len(candidates) == 1 else 1}
+
+
+@pytest.mark.parametrize("candidates, epoch, trial, bar", SELECTION_TABLE.values(),
+                         ids=SELECTION_TABLE.keys())
+def test_random_search_selects_trial_by_the_rule(monkeypatch, candidates, epoch,
+                                                 trial, bar):
+    """Trials are taken in index order by the rule that selects epochs; one
+    without a validation C_td is never selected."""
+    class Scripted:
+        def __init__(self, ctd, ibs):
+            self.ctd, self.ibs = ctd, ibs
+
+        def selection(self):
+            return {"val_ctd": self.ctd, "val_ibs": self.ibs}
+
+    results = [Scripted(ctd, ibs) for ctd, ibs in candidates]
+    script = iter(results)
+    monkeypatch.setattr(training, "train", lambda config, dataset: next(script))
+    best_rec, best_res, records = random_search(SearchSpace(), len(candidates),
+                                                small_dataset())
+    assert [(r.val_ctd, r.val_ibs) for r in records] == candidates
+    if trial is None:
+        assert best_rec is None and best_res is None
+    else:
+        assert best_rec.index == trial and best_res is results[trial]
 
 
 def test_failed_trials_are_recorded_and_skipped():
