@@ -63,7 +63,8 @@ class QuadratureRule:
     def cumhaz(self, hazards, t) -> np.ndarray:
         """(t/2) sum_k w_k lambda_k from the (*t.shape, K) hazards at the node
         times of ``points(t)``, one row sum per time."""
-        return (np.asarray(t, dtype=np.float64) / 2.0) * (hazards * self.weights).sum(axis=-1)
+        half_t = np.asarray(t, dtype=np.float64) / 2.0
+        return half_t * (hazards * self.weights).sum(axis=-1)
 
     def composite(self, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Node times, weights and interval edges of the cumulative composite

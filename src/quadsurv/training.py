@@ -192,9 +192,9 @@ def displaces(bar, ctd, ibs):
     """The selection rule of ``train``'s epochs and ``random_search``'s trials,
     taken in order: the new bar if the candidate, validation C_td ``ctd`` (-1
     if None) and IBS ``ibs``, displaces the incumbent, else None.  ``bar`` is
-    None at first, then the last bar returned.  A C_td above the bar by more
-    than ``CTD_TIE_TOLERANCE`` wins; within it a lower IBS wins, and the bar
-    (a C_td, the incumbent's IBS) never falls."""
+    None at first, then the last (C_td bar, incumbent's IBS) returned.  A C_td
+    above the bar by more than ``CTD_TIE_TOLERANCE`` wins; within it a lower
+    IBS wins and the bar keeps the higher C_td, so it never falls."""
     ctd = -1.0 if ctd is None else ctd
     if bar is None or ctd > bar[0] + CTD_TIE_TOLERANCE:
         return ctd, ibs
@@ -413,13 +413,12 @@ def random_search(space: SearchSpace, trials: int, dataset: SurvivalData,
                   base_config: TrainingConfig | None = None):
     """Random search over the tabular space.
 
-    The trials are candidates of ``displaces``, the rule that selects each
-    trial's epoch, in index order, with that epoch's validation C_td and IBS;
+    ``displaces``, the rule that selects each trial's epoch, takes the trials
+    in index order, each with its selected epoch's validation C_td and IBS;
     a trial without a validation C_td is never selected.  A failing trial,
     including one whose sampled architecture the model rejects, is recorded
-    with its error and skipped.  Returns the selected record, its
-    result and every record; the first two are None when no trial has a
-    validation C_td.
+    with its error and skipped.  Returns the selected record, its result and
+    every record; the first two are None when no trial has a validation C_td.
     """
     if trials < 1:
         raise UsageError(f"trials must be >= 1, got {trials}")
