@@ -182,10 +182,23 @@ def c_index_td(curves: SurvivalCurves, times, events, ghat: StepFunction,
 
 # --- Brier score and binomial log-likelihood -------------------------------------
 
-def _ipcw_scores(curves: SurvivalCurves, times, events, ghat: StepFunction, ts):
-    """Brier score, binomial log-likelihood and clipped weights at each of ``ts``.
+def _brier_terms(s):
+    """Squared error of S against the status: 0 once dead, 1 while alive."""
+    return s ** 2, (1.0 - s) ** 2
 
-    Arrays are (time, subject) and row-major: each mean sums like a 1-D one.
+
+def _bll_terms(s):
+    """Log-likelihood of the status, with S clamped to keep the logs finite."""
+    s = np.clip(s, SURVIVAL_CLAMP, 1.0 - SURVIVAL_CLAMP)
+    return np.log(1.0 - s), np.log(s)
+
+
+def _ipcw_score(curves: SurvivalCurves, times, events, ghat: StepFunction, ts, terms):
+    """IPCW mean of one score at each of ``ts``.
+
+    ``terms(s)`` maps the (time, subject) survival matrix to the score of a
+    subject with an event before t and of one still at risk after t.  Arrays
+    are row-major, so each time's mean sums like a 1-D one.
     """
     times = np.asarray(times, dtype=np.float64)
     events = np.asarray(events).astype(bool)
@@ -193,20 +206,13 @@ def _ipcw_scores(curves: SurvivalCurves, times, events, ghat: StepFunction, ts):
     g_t = ghat(ts)
     if np.any(g_t <= 0.0):
         raise HorizonError(f"time {ts[g_t <= 0.0][0]} is beyond the censoring support")
-    s = np.ascontiguousarray(curves.at_times(ts).T)
-    s_bll = np.clip(s, SURVIVAL_CLAMP, 1.0 - SURVIVAL_CLAMP)
+    if_died, if_alive = terms(np.ascontiguousarray(curves.at_times(ts).T))
     died = (times < ts[:, None]) & events
     alive = times > ts[:, None]
     w_died, _ = _capped_inverse(ghat(times, side="left"))
-    w_alive, clip_alive = _capped_inverse(g_t[:, None])
-
-    def mean(if_died, if_alive):
-        terms = np.where(died, if_died * w_died, np.where(alive, if_alive * w_alive, 0.0))
-        return terms.mean(axis=1)
-
-    clipped = np.count_nonzero(died & (w_died >= IPCW_CAP), axis=1) + (
-        clip_alive[:, 0] & alive.any(axis=1))
-    return mean(s ** 2, (1.0 - s) ** 2), mean(np.log(1.0 - s_bll), np.log(s_bll)), clipped
+    w_alive, _ = _capped_inverse(g_t[:, None])
+    scores = np.where(died, if_died * w_died, np.where(alive, if_alive * w_alive, 0.0))
+    return scores.mean(axis=1)
 
 
 def _integration_grid(times, horizon, n_points=INTEGRATION_POINTS):
@@ -220,10 +226,10 @@ def _integration_grid(times, horizon, n_points=INTEGRATION_POINTS):
     return np.linspace(start, horizon, n_points)
 
 
-def _integrated(curves, times, events, ghat, horizon, n_points, score):
-    """Trapezoid integral of one ``_ipcw_scores`` score, normalized by the window."""
+def _integrated(curves, times, events, ghat, horizon, n_points, terms):
+    """Trapezoid integral of one ``_ipcw_score`` score, normalized by the window."""
     grid = _integration_grid(times, horizon, n_points)
-    values = _ipcw_scores(curves, times, events, ghat, grid)[score]
+    values = _ipcw_score(curves, times, events, ghat, grid, terms)
     if len(grid) == 1:
         return float(values[0])
     return float(np.trapezoid(values, grid) / (grid[-1] - grid[0]))
@@ -232,7 +238,7 @@ def _integrated(curves, times, events, ghat, horizon, n_points, score):
 def integrated_brier_score(curves, times, events, ghat, horizon,
                            n_points: int = INTEGRATION_POINTS):
     """Trapezoid integral of BS(t) over the evaluation window, normalized."""
-    return _integrated(curves, times, events, ghat, horizon, n_points, 0)
+    return _integrated(curves, times, events, ghat, horizon, n_points, _brier_terms)
 
 
 def integrated_binomial_ll(curves, times, events, ghat, horizon,
@@ -246,7 +252,7 @@ def integrated_binomial_ll(curves, times, events, ghat, horizon,
     [``SURVIVAL_CLAMP``, 1 - ``SURVIVAL_CLAMP``] so the logs stay finite.
     The value is at most 0; higher is better.
     """
-    return _integrated(curves, times, events, ghat, horizon, n_points, 1)
+    return _integrated(curves, times, events, ghat, horizon, n_points, _bll_terms)
 
 
 # --- D-calibration ---------------------------------------------------------------

@@ -274,8 +274,8 @@ def test_criterion_08_metric_oracles():
         np.array([1.0, 2.0, 3.0]),
         np.array([[0.7, 0.3, 0.1], [0.8, 0.5, 0.2], [0.9, 0.6, 0.4]]))
     hand_ghat = mx.StepFunction(np.array([1.5, 2.5]), np.array([0.8, 0.5]))
-    bs, bll, _ = mx._ipcw_scores(hand_curves, hand_times, hand_events, hand_ghat,
-                                 [2.0])
+    bs, bll = (mx._ipcw_score(hand_curves, hand_times, hand_events, hand_ghat, [2.0],
+                              terms) for terms in (mx._brier_terms, mx._bll_terms))
     assert abs(bs[0] - (0.3 ** 2 + (1 - 0.6) ** 2 / 0.8) / 3) < 1e-12
     assert abs(bll[0] - (math.log(0.7) + math.log(0.6) / 0.8) / 3) < 1e-12
 

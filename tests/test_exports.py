@@ -97,3 +97,40 @@ def test_benchmark_backbone_rows_formula(monkeypatch):
     assert tracer.counts[("concat", "model.backbone_rows")] == 6 * 5 * 4
     assert tracer.counts[("film", "model.backbone_rows")] == 6
     assert tracer.counts[("lora", "model.backbone_rows")] == 6
+
+
+def test_benchmark_traced_run_reports_every_span(monkeypatch, tmp_path):
+    # the traced benchmark reports a span it never saw only as a missing
+    # value; a library call that bypasses a wrapped name fails here instead.
+    # The predict.* values come from the output checks, not from spans.
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    pipeline = importlib.import_module("pipeline")
+    layers = importlib.import_module("layers")
+    tracer = importlib.import_module("tracer").Tracer()
+    sim = pipeline.simulation.generate(
+        pipeline.GeneratorSpec(pipeline.FAMILY, n_train=200, n_test=60), 0)
+    pipeline.data.save_csv(sim.train, tmp_path / "train.csv")
+    pipeline.data.save_csv(sim.test, tmp_path / "test.csv")
+    (tmp_path / "train.json").write_text('{"max_epochs": 1}')
+    checkpoint = tmp_path / "fit" / "checkpoint.json"
+    calls = {
+        "lora": ["train", tmp_path / "train.json", tmp_path / "train.csv",
+                 "--out", tmp_path / "fit"],
+        "evaluate": ["evaluate", checkpoint, tmp_path / "test.csv",
+                     tmp_path / "train.csv", "--out", tmp_path / "report.json"],
+        "predict_lora": ["predict", checkpoint, tmp_path / "test.csv",
+                         "--grid-max", "2.0", "--out", tmp_path / "curves.csv"],
+    }
+    layers.install_spans(tracer)
+    try:
+        for ctx, argv in calls.items():
+            with tracer.op(ctx):
+                rc, text = pipeline.call_cli(argv)
+            assert rc == 0, text
+    finally:
+        tracer.unpatch_all()
+    table = tracer.table(always_percentiles=layers.STEP_SPANS)
+    expected = [name for name, _ in layers.per_layer_metrics()
+                if name.rsplit(".", 1)[-1] in calls and not name.startswith("predict.")]
+    assert len(expected) > 40
+    assert [name for name in expected if name not in table] == []

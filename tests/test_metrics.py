@@ -182,9 +182,9 @@ def hand_case():
 
 
 def scores_at(curves, times, events, ghat, t):
-    """(Brier score, clipped weights, binomial log-likelihood) at one time."""
-    brier, bll, clipped = metrics._ipcw_scores(curves, times, events, ghat, [t])
-    return float(brier[0]), int(clipped[0]), float(bll[0])
+    """(Brier score, binomial log-likelihood) at one time."""
+    return tuple(float(metrics._ipcw_score(curves, times, events, ghat, [t], terms)[0])
+                 for terms in (metrics._brier_terms, metrics._bll_terms))
 
 
 def test_brier_hand_arithmetic():
@@ -199,7 +199,7 @@ def test_brier_hand_arithmetic():
 def test_bll_hand_arithmetic():
     curves, times, events, ghat = hand_case()
     expected = (math.log(1 - 0.3) * 1.0 + math.log(0.6) / 0.8) / 3.0
-    value = scores_at(curves, times, events, ghat, 2.0)[2]
+    value = scores_at(curves, times, events, ghat, 2.0)[1]
     assert value == pytest.approx(expected, abs=1e-12)
 
 
@@ -234,7 +234,7 @@ def test_bll_half_prediction():
     grid = np.linspace(0.5, 9.0, 50)
     curves = SurvivalCurves(grid, np.full((n, len(grid)), 0.5))
     ghat = censoring_survival(times, events)
-    assert scores_at(curves, times, events, ghat, 4.2)[2] == \
+    assert scores_at(curves, times, events, ghat, 4.2)[1] == \
         pytest.approx(math.log(0.5), abs=1e-12)
 
 
@@ -400,22 +400,21 @@ def _ref_c_index(curves, times, events, ghat, horizon):
 
 
 def _ref_scores(curves, times, events, ghat, t):
-    """Brier score, its clip count and the binomial log-likelihood at one time."""
+    """Brier score and binomial log-likelihood at one time."""
     events = events.astype(bool)
     s_t = curves.at_times([t])[:, 0]
     s_bll = np.clip(s_t, SURVIVAL_CLAMP, 1.0 - SURVIVAL_CLAMP)
     died = (times < t) & events
     alive = times > t
     w_event, _ = _ref_weights(ghat(times, side="left"))
-    w_at_t, clip_at_t = _ref_weights(np.full(1, ghat(t)))
+    w_at_t, _ = _ref_weights(np.full(1, ghat(t)))
     brier = np.zeros(len(times))
     brier[died] = (s_t[died] ** 2) * w_event[died]
     brier[alive] = ((1.0 - s_t[alive]) ** 2) * w_at_t[0]
     bll = np.zeros(len(times))
     bll[died] = np.log(1.0 - s_bll[died]) * w_event[died]
     bll[alive] = np.log(s_bll[alive]) * w_at_t[0]
-    clipped = int(np.sum(w_event[died] >= IPCW_CAP)) + (clip_at_t if np.any(alive) else 0)
-    return float(brier.mean()), clipped, float(bll.mean())
+    return float(brier.mean()), float(bll.mean())
 
 
 def _random_case(rng, grid_from_zero):
@@ -467,7 +466,7 @@ def _assert_integrals_match_reference(curves, times, events, ghat, horizon):
     grid = metrics._integration_grid(times, horizon)
     scores = np.array([_ref_scores(curves, times, events, ghat, t) for t in grid])
     for got, column in ((integrated_brier_score(curves, times, events, ghat, horizon), 0),
-                        (integrated_binomial_ll(curves, times, events, ghat, horizon), 2)):
+                        (integrated_binomial_ll(curves, times, events, ghat, horizon), 1)):
         want = (scores[0, column] if len(grid) == 1 else
                 np.trapezoid(scores[:, column], grid) / (grid[-1] - grid[0]))
         assert got == float(want)
