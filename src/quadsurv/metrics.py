@@ -9,7 +9,7 @@ weighting itself through its own censoring mass.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.special import gammaincc
@@ -18,7 +18,7 @@ from .errors import ContractError, HorizonError, UndefinedMetricError
 
 IPCW_CAP = 10.0
 SURVIVAL_CLAMP = 1e-7
-CTD_BLOCK_CELLS = 1 << 19  # (subject, event) cells c_index_td compares at once
+CTD_BLOCK_CELLS = 1 << 19  # (at-risk subject, event) cells c_index_td compares at once
 DCAL_BINS = 10
 # the full horizon is the last training time with censoring survival at least this
 HORIZON_SUPPORT = 1e-3
@@ -43,9 +43,10 @@ class StepFunction:
 
     def __call__(self, t, side: str = "right"):
         """Value at t; ``side='left'`` gives the left limit."""
+        if side not in ("left", "right"):
+            raise ContractError(f"side must be 'left' or 'right', not {side!r}")
         t = np.asarray(t, dtype=np.float64)
-        where = "right" if side == "right" else "left"
-        idx = np.searchsorted(self.times, t, side=where) - 1
+        idx = np.searchsorted(self.times, t, side=side) - 1
         out = np.where(idx >= 0, self.values[np.clip(idx, 0, None)], 1.0)
         return out if out.ndim else float(out)
 
@@ -80,6 +81,15 @@ def censoring_survival(times, events) -> StepFunction:
 
 # --- prediction container -----------------------------------------------------
 
+def _interpolate(grid, values, ts, rows):
+    """Linear interpolation at ``ts`` of the ``values`` rows on ``grid``: of the
+    subjects ``rows`` slices at every time, or of one subject per time."""
+    idx = np.clip(np.searchsorted(grid, ts, side="right") - 1, 0, len(grid) - 2)
+    t0, t1 = grid[idx], grid[idx + 1]
+    frac = np.clip(np.where(t1 > t0, (ts - t0) / (t1 - t0), 0.0), 0.0, 1.0)
+    return values[rows, idx] * (1.0 - frac) + values[rows, idx + 1] * frac
+
+
 class SurvivalCurves:
     """Per-subject survival probabilities over a shared ascending grid.
 
@@ -103,25 +113,17 @@ class SurvivalCurves:
     def n_subjects(self):
         return self.values.shape[0]
 
-    def _interpolate(self, ts, rows):
-        """Values at ``ts`` of all subjects (``rows`` a slice) or of one per time."""
-        grid = self._grid
-        idx = np.clip(np.searchsorted(grid, ts, side="right") - 1, 0, len(grid) - 2)
-        t0, t1 = grid[idx], grid[idx + 1]
-        frac = np.clip(np.where(t1 > t0, (ts - t0) / (t1 - t0), 0.0), 0.0, 1.0)
-        return self._values[rows, idx] * (1.0 - frac) + self._values[rows, idx + 1] * frac
-
     def at_times(self, ts):
         """Values at arbitrary times, shape (n_subjects, len(ts))."""
         ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
-        return self._interpolate(ts, slice(None))
+        return _interpolate(self._grid, self._values, ts, slice(None))
 
     def at_own_times(self, ts):
         """S_i(t_i) for one time per subject, gathered one cell per row."""
         ts = np.asarray(ts, dtype=np.float64)
         if len(ts) != self.n_subjects:
             raise ContractError("need exactly one time per subject")
-        return self._interpolate(ts, np.arange(len(ts)))
+        return _interpolate(self._grid, self._values, ts, np.arange(len(ts)))
 
 
 # --- IPCW weights --------------------------------------------------------------
@@ -137,10 +139,41 @@ def _capped_inverse(g_values):
 
 @dataclass
 class CIndexResult:
+    """C_td at one horizon; ``within(tau)`` gives it at any tau up to that horizon."""
+
     value: float
     n_comparable_pairs: int
     n_tied_predictions: int
     n_clipped_weights: int
+    # the horizon, then per event subject before it, in subject order: its
+    # time, its (later, concordant, tied) pair counts, its weight and whether
+    # the cap clipped that weight
+    _per_event: tuple = field(default=(), compare=False, repr=False)
+
+    def within(self, tau: float) -> "CIndexResult":
+        """The result ``c_index_td`` gives at horizon ``tau`` on the same inputs."""
+        horizon, event_times, counts, w_sq, clipped = self._per_event
+        if not tau <= horizon:
+            raise ContractError(f"horizon {tau} exceeds the computed horizon {horizon}")
+        keep = event_times < tau
+        return _concordance(tau, event_times[keep], counts[:, keep], w_sq[keep],
+                            clipped[keep])
+
+
+def _concordance(horizon, event_times, counts, w_sq, clipped) -> CIndexResult:
+    """C_td from per-event pair counts and weights, summed in subject order."""
+    if len(event_times) == 0:
+        raise UndefinedMetricError("no event subject before the horizon")
+    later, concordant, tied = counts
+    numer = np.cumsum(w_sq * concordant)[-1]  # sequential, so blocking cannot change it
+    denom = np.cumsum(w_sq * later)[-1]
+    comparable = int(later.sum())
+    if comparable == 0 or denom == 0.0:
+        raise UndefinedMetricError("no comparable pairs before the horizon")
+    return CIndexResult(value=float(numer / denom), n_comparable_pairs=comparable,
+                        n_tied_predictions=int(tied.sum()),
+                        n_clipped_weights=int(clipped.sum()),
+                        _per_event=(horizon, event_times, counts, w_sq, clipped))
 
 
 def c_index_td(curves: SurvivalCurves, times, events, ghat: StepFunction,
@@ -150,34 +183,37 @@ def c_index_td(curves: SurvivalCurves, times, events, ghat: StepFunction,
     Comparable pairs take an event subject i with o_i < horizon against any
     subject j with o_i < o_j; the pair is concordant when S_i(o_i) < S_j(o_i)
     strictly.  Event-subject weights are min(1 / G(o_i-)^2, 10).
+
+    Subjects are sorted by time once.  The events, in time order, go in
+    blocks of at most ``CTD_BLOCK_CELLS`` (at-risk subject, event) cells, and
+    each block compares only the subjects later than its earliest event.
     """
     times = np.asarray(times, dtype=np.float64)
     events = np.asarray(events).astype(bool)
     if curves.n_subjects != len(times):
         raise ContractError("curves and test set sizes differ")
     ev = np.flatnonzero(events & (times < horizon))
-    if len(ev) == 0:
-        raise UndefinedMetricError("no event subject before the horizon")
     w_sq, clipped = _capped_inverse(ghat(times[ev], side="left") ** 2)
 
+    order = np.argsort(times, kind="stable")
+    t_sorted = times[order]
+    v_sorted = curves._values[order]
+    by_time = np.argsort(times[ev], kind="stable")
+    t_ev = times[ev[by_time]]
+    s_own = _interpolate(curves._grid, curves._values, t_ev, ev[by_time])  # S_i(o_i)
+    first_later = np.searchsorted(t_sorted, t_ev, side="right")
     counts = np.empty((3, len(ev)), dtype=np.int64)  # later, concordant, tied
-    width = max(1, CTD_BLOCK_CELLS // len(times))
-    for lo in range(0, len(ev), width):
-        cols = ev[lo:lo + width]
-        s = curves.at_times(times[cols])  # S_j(o_i), one column per event i
-        s_own = s[cols, np.arange(len(cols))]
-        later = times[:, None] > times[cols]
-        counts[:, lo:lo + width] = [np.count_nonzero(m, axis=0) for m in
-                                    (later, later & (s > s_own), later & (s == s_own))]
-    later, concordant, tied = counts
-    numer = np.cumsum(w_sq * concordant)[-1]  # sequential, so blocking cannot change it
-    denom = np.cumsum(w_sq * later)[-1]
-    comparable = int(later.sum())
-    if comparable == 0 or denom == 0.0:
-        raise UndefinedMetricError("no comparable pairs before the horizon")
-    return CIndexResult(value=float(numer / denom), n_comparable_pairs=comparable,
-                        n_tied_predictions=int(tied.sum()),
-                        n_clipped_weights=int(clipped.sum()))
+    lo = 0
+    while lo < len(ev):
+        start = first_later[lo]
+        hi = lo + max(1, CTD_BLOCK_CELLS // max(1, len(times) - start))
+        s = _interpolate(curves._grid, v_sorted, t_ev[lo:hi], slice(start, None))
+        later = t_sorted[start:, None] > t_ev[lo:hi]
+        counts[:, by_time[lo:hi]] = [
+            np.count_nonzero(m, axis=0) for m in
+            (later, later & (s > s_own[lo:hi]), later & (s == s_own[lo:hi]))]
+        lo = hi
+    return _concordance(horizon, times[ev], counts, w_sq, clipped)
 
 
 # --- Brier score and binomial log-likelihood -------------------------------------
@@ -345,21 +381,25 @@ def evaluation_report(curves_fn, train_times, train_events, test_times,
 
     report = {"horizons": {}, "horizon_taus": asdict(horizons)}
     clip_events = 0
-    n_comparable = None
+    full_ctd = None
     for name, tau in (("full", horizons.full), ("q1", horizons.q1),
                       ("q2", horizons.q2)):
         grid = _integration_grid(test_times, tau)
         curves = SurvivalCurves(grid, curves_fn(grid))
         if name == "full":
             full_curves = curves
-        try:
-            cres = c_index_td(full_curves, test_times, test_events, ghat, tau)
-            ctd = cres.value
-            clip_events += cres.n_clipped_weights
-            if name == "full":
-                n_comparable = cres.n_comparable_pairs
-        except UndefinedMetricError:
-            ctd = None
+            try:
+                full_ctd = c_index_td(curves, test_times, test_events, ghat, tau)
+            except UndefinedMetricError:
+                pass  # weights are positive, so q1, q2 <= full have no pair either
+        ctd = None
+        if full_ctd is not None:
+            try:
+                cres = full_ctd.within(tau)
+                ctd = cres.value
+                clip_events += cres.n_clipped_weights
+            except UndefinedMetricError:
+                pass
         report["horizons"][name] = {
             "tau": float(tau),
             "ctd": ctd,
@@ -371,6 +411,7 @@ def evaluation_report(curves_fn, train_times, train_events, test_times,
     dcal = d_calibration(s_at_obs, test_events)
     report["dcal_stat"] = dcal.statistic
     report["dcal_p"] = dcal.p_value
-    report["n_comparable_pairs"] = n_comparable
+    report["n_comparable_pairs"] = (None if full_ctd is None
+                                    else full_ctd.n_comparable_pairs)
     report["clip_events"] = clip_events
     return report

@@ -43,6 +43,12 @@ def test_km_left_limit():
     assert km(1.0, side="left") == 1.0
 
 
+@pytest.mark.parametrize("side", ["Left", "both", ""])
+def test_step_function_rejects_unknown_side(side):
+    with pytest.raises(ContractError, match="side"):
+        kaplan_meier([1.0, 2.0], [1, 1])(2.0, side=side)
+
+
 def test_km_no_censoring_equals_empirical_survival():
     rng = np.random.default_rng(0)
     t = rng.exponential(1.0, size=500)
@@ -132,6 +138,16 @@ def test_c_index_no_comparable_pairs_signals():
     with pytest.raises(UndefinedMetricError):
         c_index_td(curves, times, events, censoring_survival(times, events),
                    horizon=0.5)
+
+
+def test_c_index_within_rejects_a_larger_horizon():
+    times = np.array([1.0, 2.0, 3.0])
+    events = np.array([1, 1, 0])
+    curves = exp_curves(np.array([2.0, 1.0, 0.5]), np.linspace(0.1, 4, 40))
+    res = c_index_td(curves, times, events, censoring_survival(times, events), 2.5)
+    assert res.within(2.5) == res
+    with pytest.raises(ContractError, match="horizon"):
+        res.within(3.0)
 
 
 def test_c_index_monotone_transform_invariance():
@@ -346,10 +362,9 @@ def test_evaluation_report_schema_and_finiteness():
     assert report["n_comparable_pairs"] > 0
 
 
-def test_evaluation_report_memory_is_linear_in_subjects():
-    # an (n, n) float64 matrix alone would take n^2 * 8 bytes = 288 MB here
-    rng = np.random.default_rng(8)
-    n = 6000
+def _report_peak(n, seed):
+    """tracemalloc peak of ``evaluation_report`` on n test subjects, in bytes."""
+    rng = np.random.default_rng(seed)
     rates = np.exp(0.8 * rng.normal(size=n))
     t_event = rng.exponential(1.0 / rates)
     t_cens = rng.exponential(2.0, size=n)
@@ -362,7 +377,53 @@ def test_evaluation_report_memory_is_linear_in_subjects():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 150 * 2 ** 20
+    return peak
+
+
+def test_evaluation_report_memory_is_linear_in_subjects():
+    # an (n, n) float64 matrix alone would take n^2 * 8 bytes = 288 MB here
+    assert _report_peak(6000, seed=8) < 150 * 2 ** 20
+
+
+def test_evaluation_report_memory_at_16k_subjects():
+    # an (n, n) float64 matrix alone would take 2 GB here; the peak was
+    # 113.3 MB with per-horizon concordance and 114.0 MB with one time-sorted
+    # pass, whose sorted copy of the curves takes 13 MB
+    assert _report_peak(16000, seed=9) < 125 * 2 ** 20
+
+
+def test_evaluation_report_computes_c_index_once(monkeypatch):
+    rng = np.random.default_rng(12)
+    n = 500
+    t_event = rng.exponential(1.0, size=n)
+    t_cens = rng.exponential(3.0, size=n)
+    times = np.minimum(t_event, t_cens)
+    events = (t_event <= t_cens).astype(int)
+    rates = rng.uniform(0.5, 2.0, size=n)
+
+    def curves_fn(grid):
+        return np.exp(-np.outer(rates, grid))
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return c_index_td(*args)
+
+    monkeypatch.setattr(metrics, "c_index_td", counting)
+    report = evaluation_report(curves_fn, times, events, times, events)
+    assert len(calls) == 1
+
+    ghat = censoring_survival(times, events)
+    taus = report["horizon_taus"]
+    grid = metrics._integration_grid(times, taus["full"])
+    full_curves = SurvivalCurves(grid, curves_fn(grid))
+    direct = {name: c_index_td(full_curves, times, events, ghat, taus[name])
+              for name in ("full", "q1", "q2")}
+    for name, res in direct.items():
+        assert report["horizons"][name]["ctd"] == res.value
+    assert report["n_comparable_pairs"] == direct["full"].n_comparable_pairs
+    assert report["clip_events"] == sum(r.n_clipped_weights for r in direct.values())
 
 
 # --- exact equality with the per-event and per-time reference loops ---------------------
@@ -455,6 +516,20 @@ def test_metrics_equal_reference_loops_exactly(monkeypatch, grid_from_zero, bloc
             except UndefinedMetricError:
                 got = None
             assert got == _ref_c_index(curves, times, events, ghat, horizon)
+        try:  # the largest horizon serves every smaller one through `within`
+            widest = c_index_td(curves, times, events, ghat, float(times.max()) * 1.01)
+        except UndefinedMetricError:
+            widest = None
+        for h in (float(times.min()), float(np.median(times)), float(times.max())):
+            got = None
+            if widest is not None:
+                try:
+                    res = widest.within(h)
+                    got = (res.value, res.n_comparable_pairs, res.n_tied_predictions,
+                           res.n_clipped_weights)
+                except UndefinedMetricError:
+                    pass
+            assert got == _ref_c_index(curves, times, events, ghat, h)
         for t in (float(times.min()), float(np.median(times)), float(times.max())):
             assert scores_at(curves, times, events, ghat, t) == \
                 _ref_scores(curves, times, events, ghat, t)
